@@ -1,15 +1,15 @@
 """Bench PR10 — the flat search kernel and process-pool sharded batches.
 
-Two acceptance contracts over the cold CUPID E=3 workload (the same ten
-queries ``bench_closure.py`` uses, unrestricted schema):
+Two contracts over the cold CUPID E=3 workload (the same ten queries
+``bench_closure.py`` uses, unrestricted schema):
 
-* the ``kernel="flat"`` integer-indexed expansion loop is at least
-  **1.5x** faster than the ``kernel="interpreted"`` reference on the
+* the flat kernel — the closure-mode search loop — is timed on the
   steady-state cold pass (completion cache cleared, per-target tables
   warm — a long-lived process pays the table builds once ever, and
-  bench_closure asserts those cheap separately), with byte-identical
-  ranked paths, labels, and traversal counters for every query (it is
-  a specialization, not an approximation);
+  bench_closure asserts those cheap separately) into the
+  ``kernel.flat_seconds_e3`` ledger series, and its ranked paths and
+  labels must equal those of the paper's Algorithm 2 run verbatim
+  (``pruning="none"``) for every query;
 * ``complete_batch(jobs=4, executor="process")`` is at least **2x**
   faster than the sequential pass on machines with 3+ cores.  On two
   cores 2x is the zero-overhead theoretical ceiling, so the bar there
@@ -45,8 +45,6 @@ _RESULT_FILE = _ROOT / "BENCH_kernel.json"
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 E = 3
-#: Required cold speedup of the flat kernel over the interpreted loop.
-MIN_KERNEL_SPEEDUP = 1.5
 #: Required process-pool speedup over sequential, by available cores.
 #: 2x needs at least 3 cores to be a fair bar (on 2 cores it is the
 #: zero-overhead ceiling); 2-core machines get a floor that still
@@ -73,25 +71,7 @@ def _snapshots(batch) -> list[tuple]:
     ]
 
 
-def _stats(batch) -> list[tuple]:
-    """The hardware-independent traversal counters per result."""
-    return [
-        (
-            result.stats.recursive_calls,
-            result.stats.edges_considered,
-            result.stats.complete_paths_found,
-            result.stats.pruned_visited,
-            result.stats.pruned_target_bound,
-            result.stats.pruned_best_bound,
-            result.stats.rescued_by_caution,
-            result.stats.nodes_pruned_reachability,
-            result.stats.nodes_pruned_bound,
-        )
-        for result in batch.results
-    ]
-
-
-def _cold_pass(schema, texts, kernel=None, jobs=1, executor=None):
+def _cold_pass(schema, texts, jobs=1, executor=None):
     """One genuinely cold batch: fresh artifact, empty completion cache.
 
     With ``executor="process"`` the compile registry is cleared first so
@@ -99,27 +79,26 @@ def _cold_pass(schema, texts, kernel=None, jobs=1, executor=None):
     """
     if executor == "process":
         compiled_registry.invalidate()
-    engine = Disambiguator(CompiledSchema(schema), e=E, kernel=kernel)
+    engine = Disambiguator(CompiledSchema(schema), e=E)
     start = time.perf_counter()
     batch = engine.complete_batch(texts, jobs=jobs, executor=executor)
     seconds = time.perf_counter() - start
     return batch, seconds
 
 
-def _steady_cold_passes(schema, texts, kernel):
+def _steady_cold_passes(schema, texts):
     """Cold completions against warm per-target tables, best of REPEATS.
 
-    One artifact per kernel; a throwaway first pass builds the closure
-    tables (and the flat kernel's derived tables) exactly as a
+    A throwaway first pass builds the closure tables exactly as a
     long-lived serving process would, then each timed pass clears the
     completion cache so every query's *search* runs cold.  This is the
     steady-state cold cost — the same first-touch/steady split
     ``bench_closure.py`` uses for its ledger series — and it is the
-    regime the kernel contract is about: the expansion loop, not the
+    regime the kernel series is about: the expansion loop, not the
     once-per-process table builds (those are asserted cheap in
     bench_closure).
     """
-    engine = Disambiguator(CompiledSchema(schema), e=E, kernel=kernel)
+    engine = Disambiguator(CompiledSchema(schema), e=E)
     batch = engine.complete_batch(texts)  # warm tables, throwaway timing
     best = None
     for _ in range(REPEATS):
@@ -141,40 +120,25 @@ def _best_of(repeats, run):
 
 
 @pytest.mark.benchmark(group="kernel")
-def test_flat_kernel_speedup(cupid, oracle):
+def test_flat_kernel_cold_pass(cupid, oracle):
     texts = [query.text for query in oracle.queries]
     lines = [
         f"workload: {len(texts)} CUPID queries, unrestricted schema, "
         f"E={E}, best of {REPEATS}"
     ]
 
-    interpreted, interp_seconds = _steady_cold_passes(
-        cupid, texts, kernel="interpreted"
-    )
-    flat, flat_seconds = _steady_cold_passes(cupid, texts, kernel="flat")
+    flat, flat_seconds = _steady_cold_passes(cupid, texts)
 
-    # Byte-identity first: ranked paths, labels, semantic lengths, the
-    # anytime flags, and every traversal counter.  A fast wrong kernel
-    # is worthless.
-    assert _snapshots(flat) == _snapshots(interpreted)
-    assert _stats(flat) == _stats(interpreted)
+    # Answers first: ranked paths, labels, semantic lengths, and the
+    # anytime flags must be those of the paper's Algorithm 2 run
+    # verbatim.  A fast wrong kernel is worthless.
+    reference = Disambiguator(
+        CompiledSchema(cupid), e=E, pruning="none"
+    ).complete_batch(texts)
+    assert _snapshots(flat) == _snapshots(reference)
 
-    speedup = (
-        interp_seconds / flat_seconds if flat_seconds > 0 else float("inf")
-    )
-    assert speedup >= MIN_KERNEL_SPEEDUP, (
-        f"flat kernel {speedup:.2f}x < {MIN_KERNEL_SPEEDUP}x "
-        f"({interp_seconds * 1000:.0f}ms -> {flat_seconds * 1000:.0f}ms)"
-    )
-    record_bench(
-        f"kernel.interpreted_seconds_e{E}", interp_seconds, quick=QUICK
-    )
     record_bench(f"kernel.flat_seconds_e{E}", flat_seconds, quick=QUICK)
-    lines.append(
-        f"kernel: interpreted {interp_seconds * 1000:8.1f} ms | flat "
-        f"{flat_seconds * 1000:8.1f} ms | {speedup:5.2f}x "
-        f"(required >= {MIN_KERNEL_SPEEDUP}x)"
-    )
+    lines.append(f"kernel: flat {flat_seconds * 1000:8.1f} ms")
 
     # ------------------------------------------------------------------
     # Process-pool sharded batch vs sequential.  Skipped — not faked —
@@ -233,11 +197,7 @@ def test_flat_kernel_speedup(cupid, oracle):
         "quick": QUICK,
         "queries": len(texts),
         "e": E,
-        "kernel": {
-            "interpreted_seconds": interp_seconds,
-            "flat_seconds": flat_seconds,
-            "speedup": speedup,
-        },
+        "kernel": {"flat_seconds": flat_seconds},
         "batch": {
             "sequential_seconds": seq_seconds,
             "cores": cores,

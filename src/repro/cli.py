@@ -53,7 +53,6 @@ from repro.core.compiled import compile_schema
 from repro.core.domain import DomainKnowledge
 from repro.core.engine import Disambiguator
 from repro.core.enumerate import enumerate_consistent_paths
-from repro.core.kernel import KERNEL_MODES
 from repro.core.procpool import EXECUTOR_ENV_VAR, EXECUTOR_MODES
 from repro.core.parser import parse_path_expression
 from repro.core.printer import format_result
@@ -332,7 +331,7 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     _apply_executor(args)
     with _observability(args) as registry:
         compiled = compile_schema(schema, domain_knowledge=knowledge)
-        engine = Disambiguator(compiled, e=args.e, kernel=args.kernel)
+        engine = Disambiguator(compiled, e=args.e)
         batch = engine.complete_batch(args.expression, jobs=args.jobs)
         for index, result in enumerate(batch):
             if index:
@@ -575,16 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     complete.add_argument("--verbose", action="store_true")
-    complete.add_argument(
-        "--kernel",
-        choices=KERNEL_MODES,
-        default=None,
-        help=(
-            "search-kernel implementation: 'interpreted' (reference "
-            "Algorithm 2 loop) or 'flat' (specialized integer-indexed "
-            "kernel, byte-identical paths); defaults to $REPRO_KERNEL"
-        ),
-    )
     _add_jobs_option(complete)
     _add_obs_options(complete)
     _add_budget_options(complete)

@@ -217,24 +217,23 @@ class TargetTables:
         (lowest sort rank) first — an empty tuple means no completing
         edge is reachable along interior edges.
     ``completing``
-        Per node, the completing edges as ``(edge, target class,
-        connector index)`` tuples — what ``enter`` scans instead of the
-        full adjacency list.
+        Per node, the completing edges as ``(target index, connector
+        index, edge)`` tuples — what the search scans on entering the
+        node instead of the full adjacency list.
     ``interior``
-        Per node, the traversable edges as ``(child, child index,
-        connector index, edge)`` tuples, with reachability pruning
-        already applied: edges to children with an empty ``conns`` row
-        are dropped at build time.
+        Per node, the traversable edges as ``(child index, connector
+        index, edge)`` tuples, with reachability pruning already
+        applied: edges to children with an empty ``conns`` row are
+        dropped at build time.
     ``reach_pruned``
         Per node, how many interior edges reachability pruning removed;
         charged to ``TraversalStats.nodes_pruned_reachability`` once per
         node entry (each entry would have considered each of them once).
     ``reach_dropped``
-        Per node, the identities of those removed edges as ``(child,
-        connector index, edge)`` tuples — the search audit log
+        Per node, those removed edges — the search audit log
         (:mod:`repro.core.audit`) emits one ``reachability`` cut record
         per entry for each, so the cross-mode diff can account for
-        every edge the closure loop never even considered.  Always
+        every edge the closure search never even considered.  Always
         ``len(reach_dropped[u]) == reach_pruned[u]``.
     ``dist``
         The raw pre-collapse state distances (node × composed connector
@@ -848,20 +847,15 @@ class SchemaClosure:
         for name in self.nodes:
             comp: list[tuple] = []
             inter: list[tuple] = []
-            dropped: list[tuple] = []
+            dropped: list = []
             for edge in self.graph.edges_from(name):
+                child_i = index[edge.target]
                 if is_completing(edge):
-                    comp.append((edge, edge.target, edge.connector.index))
+                    comp.append((child_i, edge.connector.index, edge))
+                elif conns[child_i]:
+                    inter.append((child_i, edge.connector.index, edge))
                 else:
-                    child_i = index[edge.target]
-                    if conns[child_i]:
-                        inter.append(
-                            (edge.target, child_i, edge.connector.index, edge)
-                        )
-                    else:
-                        dropped.append(
-                            (edge.target, edge.connector.index, edge)
-                        )
+                    dropped.append(edge)
             tables.completing.append(tuple(comp))
             tables.interior.append(tuple(inter))
             tables.reach_pruned.append(len(dropped))

@@ -34,7 +34,6 @@ from repro.core.closure import resolve_pruning
 from repro.core.compiled import CompiledSchema, compile_schema
 from repro.core.completion import CompletionResult
 from repro.core.domain import DomainKnowledge
-from repro.core.kernel import resolve_kernel
 from repro.core.multi import complete_general
 from repro.core.parser import parse_path_expression
 from repro.core.procpool import process_batch, resolve_executor
@@ -128,15 +127,6 @@ class Disambiguator:
         Algorithm 2 verbatim.  Both modes return byte-identical ranked
         paths; the mode is part of every cache key.  ``None`` defers to
         the ``REPRO_PRUNING`` environment variable, then the default.
-    kernel:
-        Search-kernel implementation for every completion this engine
-        runs: ``"interpreted"`` (the default) is the reference
-        Algorithm 2 loop over node objects; ``"flat"`` is the
-        specialized integer-indexed kernel (see
-        :mod:`repro.core.kernel`) — byte-identical ranked paths,
-        materially faster cold.  Part of every cache key.  ``None``
-        defers to the ``REPRO_KERNEL`` environment variable, then the
-        default.
 
     Examples
     --------
@@ -158,7 +148,6 @@ class Disambiguator:
         max_depth: int | None = None,
         budget: Budget | None = None,
         pruning: str | None = None,
-        kernel: str | None = None,
     ) -> None:
         if isinstance(schema, CompiledSchema):
             if order is not None and order is not schema.order:
@@ -189,14 +178,12 @@ class Disambiguator:
         self.max_depth = max_depth
         self.budget = budget
         self.pruning = resolve_pruning(pruning)
-        self.kernel = resolve_kernel(kernel)
         self._search = self.compiled.searcher(
             e=e,
             use_caution_sets=use_caution_sets,
             apply_inheritance_criterion=apply_inheritance_criterion,
             max_depth=max_depth,
             pruning=self.pruning,
-            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------
@@ -504,7 +491,6 @@ class Disambiguator:
             apply_inheritance_criterion=self.apply_inheritance_criterion,
             max_depth=self.max_depth,
             pruning=self.pruning,
-            kernel=self.kernel,
         )
 
     def evolved(self, delta, mode: str | None = None) -> "Disambiguator":
@@ -526,7 +512,6 @@ class Disambiguator:
             max_depth=self.max_depth,
             budget=self.budget,
             pruning=self.pruning,
-            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------
@@ -557,7 +542,6 @@ class Disambiguator:
             self.apply_inheritance_criterion,
             self.max_depth,
             self.pruning,
-            self.kernel,
         )
 
     def _effective_budget(self, budget: Budget | None) -> Budget | None:
@@ -649,7 +633,6 @@ class Disambiguator:
                     apply_inheritance_criterion=self.apply_inheritance_criterion,
                     max_depth=self.max_depth,
                     pruning=self.pruning,
-                    kernel=self.kernel,
                 )
             )
             return search.run(
@@ -665,7 +648,6 @@ class Disambiguator:
             apply_inheritance_criterion=self.apply_inheritance_criterion,
             meter=meter,
             pruning=self.pruning,
-            kernel=self.kernel,
         )
         return CompletionResult(
             root=expression.root,

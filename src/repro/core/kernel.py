@@ -1,12 +1,10 @@
-"""The flat search kernel — an integer-specialized expansion loop.
+"""The flat search kernel — Algorithm 2 with closure cuts over integers.
 
-:meth:`CompletionSearch._traverse_closure
-<repro.core.completion.CompletionSearch._traverse_closure>` is the hot
-loop of every cold completion, and even after the closure-pruning win it
-spends most of its time on CPython object traffic: ``PathLabel``
-attribute chains, per-entry :class:`~repro.core.ast.ConcretePath`
-allocation, string-keyed ``visited``/``best[u]`` containers.  This
-module is a byte-identical rewrite of that loop over dense integers:
+:func:`run_flat` is the closure-mode search loop: every search with
+``pruning="closure"`` over a static adjacency runs it, audited or not.
+It is the paper's ``traverse`` routine plus the two closure cut rules
+(:mod:`repro.core.closure`), written over dense integers so CPython
+spends its time on the search rather than on object traffic:
 
 * nodes are closure indexes, ``visited`` is one int bitset;
 * a path label is a single small int — the *lstate* — encoding
@@ -15,43 +13,35 @@ module is a byte-identical rewrite of that loop over dense integers:
   <repro.algebra.semantic_length.SemanticLengthState.join>` seam
   arithmetic are precomputed into flat lookup tables
   (:data:`EXT_LSTATE`, :data:`EXT_DELTA`) at import time;
-* adjacency comes preflattened per node
-  (:class:`FlatTables`) so the inner loop unpacks int tuples only;
-* ``best[u]`` and the ``best[T]`` frontier are the same AGG*-reduced
-  ``(length, sort rank, connector index)`` triples the interpreted
-  closure loop already uses, held in index-addressed lists;
+* adjacency comes preflattened per node in the closure's
+  :class:`~repro.core.closure.TargetTables`, so the inner loop unpacks
+  int tuples only;
+* ``best[u]`` and the ``best[T]`` frontier are AGG*-reduced ``(length,
+  sort rank, connector index)`` triples held in index-addressed lists,
+  and the line-9 test runs off a per-connector cutoff table rebuilt
+  only when the frontier changes;
 * complete paths are recorded as ``(edge prefix, edge, connector,
   length)`` tuples and materialized into :class:`ConcretePath` objects
   (with their labels preset) only after the traversal.
 
-Selection is the ``kernel`` knob — ``"interpreted"`` (default) or
-``"flat"`` — resolved like ``pruning``: explicit argument, else the
-``REPRO_KERNEL`` environment variable.  The knob is part of searcher
-and completion-cache keys, so A/B runs never serve each other warm.
-The flat kernel only ever runs where the closure loop would
-(``pruning="closure"``, static adjacency, closure tables built) and the
-interpreted loops remain the reference; equivalence — identical ranked
-paths, labels, stats counters, and truncation behavior — is
-property-tested in ``tests/core/test_kernel.py``.
-
-An optionally compiled twin (mypyc or Cython, built by ``python -m
-repro.core.kernel compile``) is imported when present; absence is not
-an error — the pure-Python kernel is the always-available fallback and
-:func:`kernel_backend` reports which one is live.
-
-The audit log instruments the interpreted loops' decision sites;
-running flat would silence it, so audited searches always take the
-interpreted path (the dispatch in ``CompletionSearch._traverse``).
+The search audit log (:mod:`repro.core.audit`) is emitted from this
+loop behind one hoisted ``audit_on`` bool: node names, label strings
+and path strings are built from ``closure.nodes`` and the edge stack
+only when it is set, so the disabled default costs a local-bool branch
+per decision site.  :meth:`CompletionSearch._traverse_reference
+<repro.core.completion.CompletionSearch._traverse_reference>` — the
+paper's Algorithm 2 verbatim — is the answer oracle:
+``tests/core/test_kernel.py`` checks identical ranked paths and labels
+against it, and pins the audit stream record for record.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.algebra.connectors import ALL_CONNECTORS, PRIMARY_CONNECTORS
 from repro.algebra.labels import PathLabel
 from repro.algebra.semantic_length import _TAXONOMIC, SemanticLengthState
 from repro.core.ast import ConcretePath
+from repro.core.audit import get_audit
 from repro.core.closure import (
     _CONI,
     _LAST_CLASS_BY_INDEX,
@@ -63,46 +53,30 @@ from repro.core.closure import (
     TargetTables,
 )
 
-__all__ = [
-    "KERNEL_MODES",
-    "KERNEL_ENV_VAR",
-    "FlatTables",
-    "KernelBudgetTrip",
-    "kernel_backend",
-    "resolve_kernel",
-    "run_flat",
-]
+__all__ = ["BudgetTrip", "run_flat"]
 
-#: Accepted values of the ``kernel`` knob.
-KERNEL_MODES = ("interpreted", "flat")
-
-#: Environment override consulted when no explicit mode is given — CI's
-#: flat matrix leg runs the whole suite with ``REPRO_KERNEL=flat``.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Cutoff sentinel, shared with the interpreted loop's table semantics.
+#: Cutoff-table sentinels: ``_NO_CUTOFF`` means "any semantic length
+#: passes" (fewer than E distinct lengths on the frontier), ``-1`` means
+#: "always fails" (the connector is beaten outright), chosen so the
+#: single comparison ``length > cutoffs[c]`` decides membership.
 _NO_CUTOFF = 1 << 30
 
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Resolve the ``kernel`` knob: explicit value, else the
-    ``REPRO_KERNEL`` environment override, else ``"interpreted"``."""
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR) or "interpreted"
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
-        )
-    return kernel
+#: Connector symbols by index, for the audit records.
+_SYMBOL: tuple[str, ...] = tuple(c.symbol for c in ALL_CONNECTORS)
 
 
-class KernelBudgetTrip(Exception):
-    """Internal control flow: unwinds the flat loop on a tripped meter.
+def _label_str(ci: int, length: int) -> str:
+    """``str()`` of the :class:`PathLabel` with connector index ``ci``
+    and semantic length ``length`` (``"[sym,len]"``)."""
+    return f"[{_SYMBOL[ci]},{length}]"
 
-    The flat kernel's twin of the interpreted loops' ``_BudgetTrip``;
-    caught in ``CompletionSearch._traverse`` and converted into the
-    anytime truncation reason.  (Defined here, not imported from
-    ``completion``, so the dependency arrow stays completion → kernel.)
+
+class BudgetTrip(Exception):
+    """Internal control flow: unwinds a search loop on a tripped meter.
+
+    Raised by both traversals and caught in
+    ``CompletionSearch._traverse``, which converts it into the anytime
+    truncation reason.
     """
 
     def __init__(self, reason: str) -> None:
@@ -173,75 +147,16 @@ LB_ROWBASE: tuple[int, ...] = tuple(
 )
 
 
-class FlatTables:
-    """Per-(closure, target) adjacency preflattened for the flat loop.
-
-    Built once from a :class:`~repro.core.closure.TargetTables` and
-    cached by the owning search (the tables are themselves memoized per
-    target, so this adds one small build per (schema, target) pair):
-
-    * ``completing[u]`` — tuples ``(target node index, connector index,
-      edge)`` for the completing edges out of node ``u``;
-    * ``interior[u]`` — tuples ``(child index, connector index, edge)``
-      for the reachability-surviving interior edges;
-    * ``rows``, ``conns``, ``reach_pruned`` — shared with the
-      interpreted loop's tables (already index-addressed).
-    """
-
-    __slots__ = ("completing", "interior", "rows", "conns", "reach_pruned")
-
-    def __init__(
-        self,
-        completing: tuple,
-        interior: tuple,
-        rows,
-        conns,
-        reach_pruned,
-    ) -> None:
-        self.completing = completing
-        self.interior = interior
-        self.rows = rows
-        self.conns = conns
-        self.reach_pruned = reach_pruned
-
-    @classmethod
-    def build(
-        cls, closure: SchemaClosure, tables: TargetTables
-    ) -> "FlatTables":
-        index = closure.index
-        completing = tuple(
-            tuple(
-                (index[edge_target], connector_i, edge)
-                for edge, edge_target, connector_i in row
-            )
-            for row in tables.completing
-        )
-        interior = tuple(
-            tuple(
-                (child_i, connector_i, edge)
-                for _child, child_i, connector_i, edge in row
-            )
-            for row in tables.interior
-        )
-        return cls(
-            completing,
-            interior,
-            tables.rows,
-            tables.conns,
-            tables.reach_pruned,
-        )
-
-
 # ----------------------------------------------------------------------
 # The flat expansion loop
 # ----------------------------------------------------------------------
 
 
 def run_flat(
+    closure: SchemaClosure,
+    tables: TargetTables,
     root: str,
-    root_i: int,
     state,
-    flat: FlatTables,
     aggregator,
     caution_masks,
     max_depth: int | None,
@@ -249,14 +164,26 @@ def run_flat(
 ) -> None:
     """Algorithm 2 with closure cuts, on flat integer state.
 
-    Byte-identical in results *and* stats counters to
-    ``CompletionSearch._traverse_closure`` (the interpreted closure
-    loop) — the best[u] triple update, the cutoff-table rewrite of
-    ``keeps`` against ``best[T]``, and both cut rules are literal
-    translations; only the data representation changes.  Fills
-    ``state.complete`` and ``state.stats`` (also on a budget trip, so
-    truncation keeps the best-so-far anytime answer) and raises
-    :class:`KernelBudgetTrip` when ``meter`` trips.
+    Iterative rendering of the paper's recursive ``traverse``: a stack
+    frame ``(node, lstate, length, depth, next edge index)`` with edge
+    index 0 is a node still to be entered (lines 1-5); pushing one is a
+    recursive call (line 13), and a frame running past its last edge
+    returns past line 15.  On top of the paper's cuts:
+
+    * *reachability pruning* — edges to children from which no
+      completing edge is reachable were dropped into
+      ``tables.reach_dropped`` at table build; each entry charges them
+      to ``stats.nodes_pruned_reachability``;
+    * *label-bound pruning* — after the line-12 ``best[u]`` update (so
+      the frontier evolves exactly as in the reference), a child is
+      entered only if some achievable composed connector admits an
+      optimistic complete label that ``best[T]`` keeps, or one whose
+      caution set intersects ``best[T]`` (the non-distributivity
+      exemption).
+
+    Fills ``state.complete`` and ``state.stats`` (also on a budget trip,
+    so truncation keeps the best-so-far anytime answer) and raises
+    :class:`BudgetTrip` when ``meter`` trips.
     """
     stats = state.stats
     complete = state.complete
@@ -273,11 +200,41 @@ def run_flat(
     # Depth sentinel: one compare per edge instead of a None test plus
     # a compare (the bound is unreachable when max_depth is None).
     depth_limit = no_cutoff if max_depth is None else max_depth
-    completing = flat.completing
-    interior = flat.interior
-    reach_pruned = flat.reach_pruned
-    rows_ = flat.rows
-    conns = flat.conns
+    completing = tables.completing
+    interior = tables.interior
+    reach_pruned = tables.reach_pruned
+    rows_ = tables.rows
+    conns = tables.conns
+    # One hoisted flag guards every audit hook; names and strings are
+    # only built behind it.
+    audit = get_audit()
+    audit_on = audit.enabled
+    audit_record = audit.record
+    nodes = closure.nodes
+    reach_dropped = tables.reach_dropped
+
+    def audit_cut(rule, node_i, depth, edge, **evidence):
+        audit_record(
+            "cut",
+            rule=rule,
+            node=nodes[node_i],
+            depth=depth,
+            edge=edge.name,
+            child=edge.target,
+            **evidence,
+            caution=False,
+        )
+
+    def audit_rescue(rule, node_i, depth, edge, ci, length):
+        audit_record(
+            "rescue",
+            rule=rule,
+            node=nodes[node_i],
+            depth=depth,
+            edge=edge.name,
+            child=edge.target,
+            label=_label_str(ci, length),
+        )
 
     visited = 0
     best: list = [None] * len(interior)
@@ -302,222 +259,46 @@ def run_flat(
     path_edges: list = []
     path_edges_append = path_edges.append
     path_edges_pop = path_edges.pop
-    stack: list = []
+    stack: list = [(closure.index[root], 0, 0, 0, 0)]
     stack_append = stack.append
     stack_pop = stack.pop
 
     try:
-        # -- enter(root): lines 1-5 on the identity label (lstate 0) --
-        visited = 1 << root_i
-        recursive_calls = 1
-        nodes_pruned_reachability = reach_pruned[root_i]
-        if meter is not None:
-            reason = meter.tripped(1, 0, 0)
-            if reason is not None:
-                raise KernelBudgetTrip(reason)
-        for t_i, c_i, cedge in completing[root_i]:
-            if visited >> t_i & 1:
-                continue
-            cand_lstate = ext_lstate[c_i]
-            cand_ci = ci_of[cand_lstate]
-            cand_length = ext_delta[c_i]
-            cand_triple = (cand_length, sort_rank[cand_ci], cand_ci)
-            # Line-5 frontier update: merge(candidate, best[T]).
-            if not bt:
-                bt = [cand_triple]
-                bt_dirty = True
-            elif cand_triple not in bt:
-                merged = [cand_triple]
-                for t in bt:
-                    if t[2] != cand_ci or t[0] != cand_length:
-                        merged.append(t)
-                present = 0
-                for t in merged:
-                    present |= 1 << t[2]
-                survivors = [
-                    t for t in merged if not (present & beaten_by[t[2]])
-                ]
-                if len(survivors) > 1:
-                    lengths = sorted({t[0] for t in survivors})
-                    if len(lengths) > e_param:
-                        allowed = set(lengths[:e_param])
-                        survivors = [t for t in survivors if t[0] in allowed]
-                survivors.sort()
-                if survivors != bt:
-                    bt = survivors
-                    bt_dirty = True
-            # keeps(candidate, best[T]) on the updated frontier.
-            present = 1 << cand_ci
-            for t in bt:
-                present |= 1 << t[2]
-            if present & beaten_by[cand_ci]:
-                kept = False
-            else:
-                lengths = {cand_length}
-                for t in bt:
-                    if not (present & beaten_by[t[2]]):
-                        lengths.add(t[0])
-                kept = (
-                    len(lengths) <= e_param
-                    or cand_length <= sorted(lengths)[e_param - 1]
-                )
-            if kept:
-                complete_rec_append(((), cedge, cand_ci, cand_length))
-        stack_append((root_i, 0, 0, 0, 0))
-
         while stack:
             node_i, lstate, length, depth, edge_index = stack_pop()
-            edges = interior[node_i]
-            n_edges = len(edges)
-            # Frame-constant hoists for the per-edge loop below.
-            ls_base = lstate * n_conn
-            child_depth = depth + 1
-            advanced = False
-            while edge_index < n_edges:
-                child_i, c_i, edge = edges[edge_index]
-                edge_index += 1
-                edges_considered += 1
-                if visited >> child_i & 1:
-                    pruned_visited += 1
-                    continue
-                if child_depth >= depth_limit:
-                    continue
-                e_idx = ls_base + c_i
-                child_lstate = ext_lstate[e_idx]
-                child_length = length + ext_delta[e_idx]
-                child_ci = ci_of[child_lstate]
-                if bt:
-                    if bt_dirty:
-                        # Rewrite keeps(·, best[T]) as per-connector
-                        # cutoffs (the interpreted _rebuild_cutoffs).
-                        bt_dirty = False
-                        bt_mask = 0
-                        for t in bt:
-                            bt_mask |= 1 << t[2]
-                        for ci in range(n_conn):
-                            present = bt_mask | (1 << ci)
-                            if present & beaten_by[ci]:
-                                cutoffs[ci] = -1
-                                continue
-                            lengths = {
-                                t[0]
-                                for t in bt
-                                if not (present & beaten_by[t[2]])
-                            }
-                            if len(lengths) < e_param:
-                                cutoffs[ci] = no_cutoff
-                            else:
-                                cutoffs[ci] = sorted(lengths)[e_param - 1]
-                    # Line 9, via the cutoff table.
-                    if child_length > cutoffs[child_ci]:
-                        pruned_target_bound += 1
-                        continue
-                # Lines 10-11: bound against best[u], rescued by caution.
-                child_bit = 1 << child_ci
-                entry = best[child_i]
-                if entry is not None:
-                    stored_mask, triples = entry
-                    candidate_triple = (
-                        child_length,
-                        sort_rank[child_ci],
-                        child_ci,
-                    )
-                    if candidate_triple not in triples:
-                        present = stored_mask | child_bit
-                        if present & beaten_by[child_ci]:
-                            kept = False
-                        else:
-                            lengths = {child_length}
-                            for known_length, _, known_ci in triples:
-                                if not (present & beaten_by[known_ci]):
-                                    lengths.add(known_length)
-                            kept = (
-                                len(lengths) <= e_param
-                                or child_length
-                                <= sorted(lengths)[e_param - 1]
-                            )
-                        if not kept:
-                            if (
-                                caution_masks is not None
-                                and stored_mask & caution_masks[child_ci]
-                            ):
-                                rescued_by_caution += 1
-                            else:
-                                pruned_best_bound += 1
-                                continue
-                        # Line 12: best[u] := AGG*({l_u} ∪ best[u]).
-                        survivors = []
-                        if not (present & beaten_by[child_ci]):
-                            survivors.append(candidate_triple)
-                        for triple in triples:
-                            if not (present & beaten_by[triple[2]]):
-                                survivors.append(triple)
-                        if len(survivors) > e_param:
-                            s_lengths = sorted(
-                                {triple[0] for triple in survivors}
-                            )
-                            if len(s_lengths) > e_param:
-                                cut = s_lengths[e_param - 1]
-                                survivors = [
-                                    triple
-                                    for triple in survivors
-                                    if triple[0] <= cut
-                                ]
-                        survivors.sort()
-                        new_mask = 0
-                        for triple in survivors:
-                            new_mask |= 1 << triple[2]
-                        best[child_i] = (new_mask, survivors)
-                else:
-                    best[child_i] = (
-                        child_bit,
-                        [(child_length, sort_rank[child_ci], child_ci)],
-                    )
-                # Label-bound pruning (after line 12, as interpreted).
-                if bt:
-                    row = rows_[child_i]
-                    base = lb_rowbase[child_lstate]
-                    composed_row = coni[child_ci]
-                    survives = False
-                    for suffix_ci in conns[child_i]:
-                        composed_i = composed_row[suffix_ci]
-                        if (
-                            caution_masks is not None
-                            and bt_mask & caution_masks[composed_i]
-                        ):
-                            survives = True  # caution exemption
-                            break
-                        if (
-                            child_length + row[base + suffix_ci]
-                            <= cutoffs[composed_i]
-                        ):
-                            survives = True
-                            break
-                    if not survives:
-                        nodes_pruned_bound += 1
-                        continue
-                # Line 13: recurse — push the parent frame back, then
-                # enter the child (lines 1-5 inlined).
-                stack_append((node_i, lstate, length, depth, edge_index))
-                path_edges_append(edge)
-                visited |= 1 << child_i
+            if not edge_index:
+                # Lines 1-5: mark visited, record the complete paths via
+                # the completing edges out of this node, update best[T].
+                visited |= 1 << node_i
                 recursive_calls += 1
-                nodes_pruned_reachability += reach_pruned[child_i]
+                nodes_pruned_reachability += reach_pruned[node_i]
+                if audit_on:
+                    audit_record(
+                        "expand",
+                        node=nodes[node_i],
+                        depth=depth,
+                        edge=path_edges[-1].name if depth else None,
+                        label=_label_str(ci_of[lstate], length),
+                        length=length,
+                    )
+                    for dropped in reach_dropped[node_i]:
+                        audit_cut("reachability", node_i, depth, dropped)
                 if meter is not None:
                     reason = meter.tripped(
                         recursive_calls, len(complete_rec), len(stack)
                     )
                     if reason is not None:
-                        raise KernelBudgetTrip(reason)
+                        raise BudgetTrip(reason)
                 prefix = None
-                ex_base = child_lstate * n_conn
-                for t_i, cc_i, cedge in completing[child_i]:
+                ex_base = lstate * n_conn
+                for t_i, c_i, cedge in completing[node_i]:
                     if visited >> t_i & 1:
-                        continue
-                    cand_lstate = ext_lstate[ex_base + cc_i]
+                        continue  # would close a cycle; ignored
+                    cand_lstate = ext_lstate[ex_base + c_i]
                     cand_ci = ci_of[cand_lstate]
-                    cand_length = child_length + ext_delta[ex_base + cc_i]
+                    cand_length = length + ext_delta[ex_base + c_i]
                     cand_triple = (cand_length, sort_rank[cand_ci], cand_ci)
+                    # Line-5 frontier update: merge(candidate, best[T]).
                     if not bt:
                         bt = [cand_triple]
                         bt_dirty = True
@@ -545,6 +326,7 @@ def run_flat(
                         if survivors != bt:
                             bt = survivors
                             bt_dirty = True
+                    # keeps(candidate, best[T]) on the updated frontier.
                     present = 1 << cand_ci
                     for t in bt:
                         present |= 1 << t[2]
@@ -565,12 +347,238 @@ def run_flat(
                         complete_rec_append(
                             (prefix, cedge, cand_ci, cand_length)
                         )
+                    if audit_on:
+                        audit_record(
+                            "complete",
+                            node=nodes[node_i],
+                            depth=depth,
+                            edge=cedge.name,
+                            path=str(
+                                ConcretePath(root, (*path_edges, cedge))
+                            ),
+                            label=_label_str(cand_ci, cand_length),
+                            length=cand_length,
+                            kept=kept,
+                        )
+
+            edges = interior[node_i]
+            n_edges = len(edges)
+            # Frame-constant hoists for the per-edge loop below.
+            ls_base = lstate * n_conn
+            child_depth = depth + 1
+            while edge_index < n_edges:
+                child_i, c_i, edge = edges[edge_index]
+                edge_index += 1
+                edges_considered += 1
+                if visited >> child_i & 1:
+                    pruned_visited += 1
+                    if audit_on:
+                        audit_cut("visited", node_i, depth, edge)
+                    continue
+                if child_depth >= depth_limit:
+                    if audit_on:
+                        audit_cut("max_depth", node_i, depth, edge)
+                    continue
+                e_idx = ls_base + c_i
+                child_lstate = ext_lstate[e_idx]
+                child_length = length + ext_delta[e_idx]
+                child_ci = ci_of[child_lstate]
+                if bt:
+                    if bt_dirty:
+                        # Rewrite keeps(·, best[T]) as per-connector
+                        # cutoffs.  The survivor set is recomputed per
+                        # candidate connector because the candidate's
+                        # own bit can knock frontier members out of the
+                        # connector filter.
+                        bt_dirty = False
+                        bt_mask = 0
+                        for t in bt:
+                            bt_mask |= 1 << t[2]
+                        for ci in range(n_conn):
+                            present = bt_mask | (1 << ci)
+                            if present & beaten_by[ci]:
+                                cutoffs[ci] = -1
+                                continue
+                            lengths = {
+                                t[0]
+                                for t in bt
+                                if not (present & beaten_by[t[2]])
+                            }
+                            # keeps() counts the candidate's own length
+                            # among the distinct survivor lengths: with
+                            # fewer than E frontier lengths any candidate
+                            # fits, otherwise the window's last slot is
+                            # the E-th smallest frontier length.
+                            if len(lengths) < e_param:
+                                cutoffs[ci] = no_cutoff
+                            else:
+                                cutoffs[ci] = sorted(lengths)[e_param - 1]
+                    # Line 9, via the cutoff table.
+                    if child_length > cutoffs[child_ci]:
+                        pruned_target_bound += 1
+                        if audit_on:
+                            audit_cut(
+                                "target_bound",
+                                node_i,
+                                depth,
+                                edge,
+                                label=_label_str(child_ci, child_length),
+                                length=child_length,
+                                cutoff=cutoffs[child_ci],
+                            )
+                        continue
+                # Lines 10-11: bound against best[u], rescued by caution.
+                child_bit = 1 << child_ci
+                entry = best[child_i]
+                if entry is not None:
+                    stored_mask, triples = entry
+                    candidate_triple = (
+                        child_length,
+                        sort_rank[child_ci],
+                        child_ci,
+                    )
+                    # Fast path: the candidate's key is already in the
+                    # AGG* output, so it trivially passes the membership
+                    # test and the line-12 update is a no-op.
+                    if candidate_triple not in triples:
+                        present = stored_mask | child_bit
+                        if present & beaten_by[child_ci]:
+                            kept = False
+                        else:
+                            lengths = {child_length}
+                            for known_length, _, known_ci in triples:
+                                if not (present & beaten_by[known_ci]):
+                                    lengths.add(known_length)
+                            kept = (
+                                len(lengths) <= e_param
+                                or child_length
+                                <= sorted(lengths)[e_param - 1]
+                            )
+                        if not kept:
+                            if (
+                                caution_masks is not None
+                                and stored_mask & caution_masks[child_ci]
+                            ):
+                                rescued_by_caution += 1
+                                if audit_on:
+                                    audit_rescue(
+                                        "best_bound",
+                                        node_i,
+                                        depth,
+                                        edge,
+                                        child_ci,
+                                        child_length,
+                                    )
+                            else:
+                                pruned_best_bound += 1
+                                if audit_on:
+                                    audit_cut(
+                                        "best_bound",
+                                        node_i,
+                                        depth,
+                                        edge,
+                                        label=_label_str(child_ci, child_length),
+                                        length=child_length,
+                                        frontier=[
+                                            _label_str(ci, known)
+                                            for known, _, ci in triples
+                                        ],
+                                    )
+                                continue
+                        # Line 12: best[u] := AGG*({l_u} ∪ best[u]).  A
+                        # caution-rescued (beaten) candidate reaches here
+                        # but does not survive into the stored frontier.
+                        survivors = []
+                        if not (present & beaten_by[child_ci]):
+                            survivors.append(candidate_triple)
+                        for triple in triples:
+                            if not (present & beaten_by[triple[2]]):
+                                survivors.append(triple)
+                        if len(survivors) > e_param:
+                            s_lengths = sorted(
+                                {triple[0] for triple in survivors}
+                            )
+                            if len(s_lengths) > e_param:
+                                cut = s_lengths[e_param - 1]
+                                survivors = [
+                                    triple
+                                    for triple in survivors
+                                    if triple[0] <= cut
+                                ]
+                        survivors.sort()
+                        new_mask = 0
+                        for triple in survivors:
+                            new_mask |= 1 << triple[2]
+                        best[child_i] = (new_mask, survivors)
+                else:
+                    best[child_i] = (
+                        child_bit,
+                        [(child_length, sort_rank[child_ci], child_ci)],
+                    )
+                # Label-bound pruning (after line 12, so best[] evolves
+                # identically to the reference loop).
+                if bt:
+                    row = rows_[child_i]
+                    base = lb_rowbase[child_lstate]
+                    composed_row = coni[child_ci]
+                    survives = False
+                    for suffix_ci in conns[child_i]:
+                        composed_i = composed_row[suffix_ci]
+                        if (
+                            caution_masks is not None
+                            and bt_mask & caution_masks[composed_i]
+                        ):
+                            survives = True  # caution exemption
+                            if audit_on:
+                                audit_rescue(
+                                    "label_bound",
+                                    node_i,
+                                    depth,
+                                    edge,
+                                    child_ci,
+                                    child_length,
+                                )
+                            break
+                        if (
+                            child_length + row[base + suffix_ci]
+                            <= cutoffs[composed_i]
+                        ):
+                            survives = True
+                            break
+                    if not survives:
+                        nodes_pruned_bound += 1
+                        if audit_on:
+                            audit_cut(
+                                "label_bound",
+                                node_i,
+                                depth,
+                                edge,
+                                label=_label_str(child_ci, child_length),
+                                length=child_length,
+                                bounds=[
+                                    {
+                                        "connector": _SYMBOL[
+                                            composed_row[suffix_ci]
+                                        ],
+                                        "bound": child_length
+                                        + row[base + suffix_ci],
+                                        "cutoff": cutoffs[
+                                            composed_row[suffix_ci]
+                                        ],
+                                    }
+                                    for suffix_ci in conns[child_i]
+                                ],
+                            )
+                        continue
+                # Line 13: recurse — push the parent frame back with its
+                # position, then the child, entered on the next pop.
+                stack_append((node_i, lstate, length, depth, edge_index))
+                path_edges_append(edge)
                 stack_append(
                     (child_i, child_lstate, child_length, child_depth, 0)
                 )
-                advanced = True
                 break
-            if not advanced:
+            else:
                 visited &= ~(1 << node_i)  # line 15
                 if depth:
                     path_edges_pop()
@@ -607,66 +615,3 @@ def run_flat(
                 ),
             )
             complete.append(path)
-
-
-# ----------------------------------------------------------------------
-# Optional compiled twin
-# ----------------------------------------------------------------------
-
-_run_flat_python = run_flat
-
-try:  # pragma: no cover - exercised only when a compiled twin exists
-    from repro.core._kernel_c import run_flat as _run_flat_compiled  # type: ignore
-
-    run_flat = _run_flat_compiled  # noqa: F811
-    _BACKEND = "compiled"
-except Exception:  # ImportError normally; any failure falls back
-    _run_flat_compiled = None
-    _BACKEND = "python"
-
-
-def kernel_backend() -> str:
-    """Which flat-kernel implementation is live: ``"compiled"`` when an
-    ahead-of-time build (mypyc/Cython) of :func:`run_flat` was importable
-    as ``repro.core._kernel_c``, else ``"python"``."""
-    return _BACKEND
-
-
-def try_compile() -> str:
-    """Attempt an ahead-of-time build of this module (best effort).
-
-    Tries mypyc, then Cython, writing the extension next to this file
-    as ``repro.core._kernel_c``.  Neither toolchain is a dependency —
-    a missing compiler returns a message instead of raising, and the
-    pure-Python kernel remains the fallback either way.
-    """
-    here = os.path.abspath(__file__)
-    try:
-        from mypyc.build import mypycify  # type: ignore  # noqa: F401
-    except Exception:
-        pass
-    else:
-        return (
-            "mypyc available: build with "
-            f"`mypyc {here}` and install the extension as "
-            "repro.core._kernel_c"
-        )
-    try:
-        import Cython  # type: ignore  # noqa: F401
-    except Exception:
-        pass
-    else:
-        return (
-            "Cython available: cythonize this module and install it as "
-            "repro.core._kernel_c"
-        )
-    return "no compiler available (mypyc/Cython not installed); using the pure-Python kernel"
-
-
-if __name__ == "__main__":  # pragma: no cover - operational helper
-    import sys
-
-    if len(sys.argv) > 1 and sys.argv[1] == "compile":
-        print(try_compile())
-    else:
-        print(f"kernel backend: {kernel_backend()}")

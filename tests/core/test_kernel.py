@@ -1,20 +1,23 @@
-"""The flat search kernel — equivalence, tables, and selection.
+"""The flat search kernel — equivalence, tables, and the audit log.
 
-The kernel contract is *byte-identity*: ``kernel="flat"`` must return
-exactly what the interpreted closure loop returns — ranked paths,
-labels, semantic lengths, anytime flags, and every traversal counter —
-across schemas, E levels, ablation flags, depth caps, and budget
-truncation points.  These tests enforce that property over the bundled
-schemas and a family of generated random schemas, verify the
-precomputed lstate composition tables against the real
-:meth:`PathLabel.extend`, and pin the selection plumbing: the knob, the
-``REPRO_KERNEL`` environment override, the cache-key separation between
-kernels, and the audited-search fallback to the interpreted loop.
+``repro.core.kernel.run_flat`` is the only closure-mode search loop.
+Its contract is *answer identity* with the paper's Algorithm 2 as
+written (``pruning="none"``, the reference loop): the same ranked
+paths, labels, semantic lengths, and anytime flags across schemas, E
+levels, ablation flags, and depth caps.  These tests enforce that over
+the bundled schemas and a family of generated random schemas, verify
+the precomputed lstate composition tables against the real
+:meth:`PathLabel.extend`, and pin the audit log: an audited search runs
+the flat kernel, and its decision records match, record for record, the
+streams captured from the interpreted closure loop the kernel replaced
+(``data/closure_audit_streams.json.xz``).
 """
 
 from __future__ import annotations
 
-import itertools
+import json
+import lzma
+import pathlib
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.algebra.connectors import ALL_CONNECTORS, PRIMARY_CONNECTORS
 from repro.algebra.labels import PathLabel
 from repro.algebra.semantic_length import SemanticLengthState
 from repro.core import compiled as compiled_mod
+from repro.core import completion as completion_mod
 from repro.core.audit import SearchAuditLog, use_audit
 from repro.core.closure import (
     _LAST_CLASS_BY_INDEX,
@@ -30,17 +34,16 @@ from repro.core.closure import (
 )
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
-from repro.core.kernel import (
-    EXT_DELTA,
-    EXT_LSTATE,
-    KERNEL_ENV_VAR,
-    KERNEL_MODES,
-    kernel_backend,
-    resolve_kernel,
-)
+from repro.core.kernel import EXT_DELTA, EXT_LSTATE
+from repro.core.parser import parse_path_expression
+from repro.core.target import RelationshipTarget
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.resilience.budget import Budget
+from repro.schemas import (
+    build_cupid_schema,
+    build_hospital_schema,
+    build_university_schema,
+)
 from repro.schemas.generator import GeneratorConfig, generate_schema
 
 QUERIES = [
@@ -49,6 +52,33 @@ QUERIES = [
     "student ~ dept",
     "teacher ~ name",
 ]
+
+#: Audit record streams of the interpreted closure loop, captured before
+#: it was deleted; see :func:`_audit_stream` for how each case runs.
+AUDIT_FIXTURE = (
+    pathlib.Path(__file__).parent / "data" / "closure_audit_streams.json.xz"
+)
+
+#: ``(case id, builtin schema, query, E, max_depth, node budget)``.
+#: Together the cases exercise every record the closure loop emits:
+#: expand, the visited / max_depth / target_bound / best_bound /
+#: label_bound / reachability cuts, both rescue kinds, complete, and a
+#: budget trip.
+AUDIT_CASES = (
+    ("cupid-e1", "cupid", "experiment ~ conductance", 1, None, None),
+    ("cupid-e2", "cupid", "experiment ~ conductance", 2, None, None),
+    ("cupid-e3", "cupid", "experiment ~ conductance", 3, None, None),
+    ("cupid-e2-depth5", "cupid", "experiment ~ conductance", 2, 5, None),
+    ("cupid-e2-nodes40", "cupid", "experiment ~ conductance", 2, None, 40),
+    ("university-e1", "university", "ta ~ name", 1, None, None),
+    ("hospital-e2", "hospital", "ward ~ name", 2, None, None),
+)
+
+_SCHEMAS = {
+    "cupid": build_cupid_schema,
+    "hospital": build_hospital_schema,
+    "university": build_university_schema,
+}
 
 
 def _snapshot(result):
@@ -77,73 +107,54 @@ def _stats(result):
 
 
 def _outcome(engine, text, budget=None):
-    """Snapshot+stats, or the typed error — both must match exactly."""
+    """The snapshot, or the typed error."""
     try:
         result = engine.complete(text, budget=budget)
     except ReproError as err:
         return ("error", type(err).__name__, str(err))
-    return (_snapshot(result), _stats(result))
+    return _snapshot(result)
 
 
 def _paired_engines(schema, **kwargs):
-    """Fresh interpreted/flat engines that share no registry artifact.
+    """Fresh reference/flat engines that share no registry artifact.
 
     Each gets its own :class:`CompiledSchema` built after an
-    ``invalidate()`` so neither inherits the other's warm closure
-    tables — the comparison covers cold table builds too.
+    ``invalidate()`` so the flat side pays its own cold table builds.
     """
     compiled_mod.invalidate()
-    interpreted = Disambiguator(
-        CompiledSchema(schema), kernel="interpreted", **kwargs
-    )
+    reference = Disambiguator(CompiledSchema(schema), pruning="none", **kwargs)
     compiled_mod.invalidate()
-    flat = Disambiguator(CompiledSchema(schema), kernel="flat", **kwargs)
-    return interpreted, flat
+    flat = Disambiguator(CompiledSchema(schema), pruning="closure", **kwargs)
+    return reference, flat
 
 
-class TestKernelSelection:
-    def test_resolve_explicit_env_and_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel(None) == "interpreted"
-        assert resolve_kernel("flat") == "flat"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "flat")
-        assert resolve_kernel(None) == "flat"
-        # Explicit beats the environment.
-        assert resolve_kernel("interpreted") == "interpreted"
+def _audit_stream(schema_name, text, e, max_depth, max_nodes):
+    """One cold closure-mode search under a fresh audit log.
 
-    def test_resolve_rejects_unknown_mode(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("native")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel(None)
+    Returns the exported records and the traversal counters.
+    """
+    compiled = CompiledSchema(_SCHEMAS[schema_name]())
+    expression = parse_path_expression(text)
+    searcher = compiled.searcher(e=e, max_depth=max_depth, pruning="closure")
+    budget = (
+        Budget(max_nodes=max_nodes, partial_ok=True)
+        if max_nodes is not None
+        else None
+    )
+    log = SearchAuditLog()
+    with use_audit(log):
+        result = searcher.run(
+            expression.root,
+            RelationshipTarget(expression.last_name),
+            budget=budget,
+        )
+    return log.to_records(), list(_stats(result))
 
-    def test_engine_honors_env_override(self, university, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "flat")
-        assert Disambiguator(university).kernel == "flat"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert Disambiguator(university).kernel == "interpreted"
 
-    def test_backend_reports_a_known_implementation(self):
-        assert kernel_backend() in ("python", "compiled")
-
-    def test_kernel_is_part_of_the_cache_key(self, university):
-        compiled = CompiledSchema(university)
-        interpreted = Disambiguator(compiled, kernel="interpreted")
-        flat = Disambiguator(compiled, kernel="flat")
-        text = "ta ~ name"
-        assert interpreted._cache_key(text) != flat._cache_key(text)
-        # Sharing one artifact, the two kernels fill distinct entries —
-        # an A/B run never serves the other side's warm results.
-        compiled.cache.clear()
-        interpreted.complete(text)
-        assert len(compiled.cache) == 1
-        flat.complete(text)
-        assert len(compiled.cache) == 2
-
-    def test_derived_engines_inherit_the_kernel(self, university):
-        engine = Disambiguator(CompiledSchema(university), kernel="flat")
-        assert engine.with_e(3).kernel == "flat"
+@pytest.fixture(scope="module")
+def pinned_streams():
+    with lzma.open(AUDIT_FIXTURE, "rt", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class TestExtensionTables:
@@ -199,11 +210,11 @@ class TestEquivalence:
     @pytest.mark.parametrize("e", (1, 2, 3))
     @pytest.mark.parametrize("caution", (True, False))
     def test_university_byte_identity(self, university, e, caution):
-        interpreted, flat = _paired_engines(
+        reference, flat = _paired_engines(
             university, e=e, use_caution_sets=caution
         )
         for text in QUERIES:
-            assert _outcome(flat, text) == _outcome(interpreted, text), (
+            assert _outcome(flat, text) == _outcome(reference, text), (
                 text,
                 e,
                 caution,
@@ -211,9 +222,9 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("max_depth", (2, 4, None))
     def test_cupid_depth_caps(self, cupid, oracle_texts, max_depth):
-        interpreted, flat = _paired_engines(cupid, e=2, max_depth=max_depth)
+        reference, flat = _paired_engines(cupid, e=2, max_depth=max_depth)
         for text in oracle_texts[:5]:
-            assert _outcome(flat, text) == _outcome(interpreted, text), (
+            assert _outcome(flat, text) == _outcome(reference, text), (
                 text,
                 max_depth,
             )
@@ -231,61 +242,97 @@ class TestEquivalence:
             "cls_003 ~ attr_000",
         ]
         for e in (1, 3):
-            interpreted, flat = _paired_engines(schema, e=e)
+            reference, flat = _paired_engines(schema, e=e)
             for text in texts:
                 assert _outcome(flat, text) == _outcome(
-                    interpreted, text
+                    reference, text
                 ), (seed, e, text)
 
     def test_budget_truncation_points_byte_identity(self, cupid):
-        """Anytime truncation at many node budgets: identical best-so-far
-        answers, truncation reasons, and counters at every trip point."""
+        """Anytime truncation at many node budgets.
+
+        The two loops expand different node counts, so they trip at
+        different points; what must hold is that every partial answer
+        is flagged and holds only genuine completions, and that once the
+        budget no longer trips, the flat answer is the reference answer.
+        """
         text = "experiment ~ conductance"
+        reference, flat = _paired_engines(cupid, e=3)
+        full = reference.complete(text)
         truncated = 0
-        for limit in (1, 2, 5, 10, 40, 200):
-            interpreted, flat = _paired_engines(cupid, e=3)
-            budget = Budget(max_nodes=limit, partial_ok=True)
-            a = _outcome(interpreted, text, budget=budget)
-            b = _outcome(
-                flat, text, budget=Budget(max_nodes=limit, partial_ok=True)
+        for limit in (1, 2, 5, 10, 40, 200, 100_000):
+            # Partial answers are never cached, so each limit searches.
+            result = flat.complete(
+                text, budget=Budget(max_nodes=limit, partial_ok=True)
             )
-            assert a == b, limit
-            if a[0][4] is not None:  # truncation_reason
-                truncated += 1
+            if result.exhausted:
+                assert _snapshot(result) == _snapshot(full), limit
+                continue
+            truncated += 1
+            assert result.truncation_reason == "nodes", limit
+            for path in result.paths:
+                # Every anytime path is a real completion: it starts at
+                # the root and its last edge is the target relationship.
+                assert path.root == "experiment"
+                assert path.edges[-1].name == "conductance"
         assert truncated > 0, "no budget actually tripped"
+        assert result.exhausted, "the largest budget still tripped"
 
     def test_hard_budget_raises_identically(self, cupid):
-        interpreted, flat = _paired_engines(cupid, e=3)
-        budget = Budget(max_nodes=3, partial_ok=False)
-        a = _outcome(interpreted, "experiment ~ conductance", budget=budget)
+        reference, flat = _paired_engines(cupid, e=3)
+        a = _outcome(
+            reference,
+            "experiment ~ conductance",
+            budget=Budget(max_nodes=3, partial_ok=False),
+        )
         b = _outcome(
             flat,
             "experiment ~ conductance",
             budget=Budget(max_nodes=3, partial_ok=False),
         )
-        assert a == b
-        assert a[0] == "error"
+        assert a[0] == b[0] == "error"
+        assert a[1] == b[1] == "BudgetExceededError"
 
 
-class TestAuditFallback:
-    def test_audited_searches_run_interpreted(self, university):
-        """A live audit log silences the flat kernel (its decision-site
-        instrumentation lives in the interpreted loop) — and the results
-        stay byte-identical either way."""
-        # Pin closure pruning: the flat kernel only runs where the
-        # closure loop would, so the REPRO_PRUNING=none CI leg must not
-        # leak into this test's precondition that flat actually fires.
-        engine = Disambiguator(
-            CompiledSchema(university), kernel="flat", pruning="closure"
-        )
-        with use_metrics(MetricsRegistry()) as metrics:
-            with use_audit(SearchAuditLog()):
-                audited = engine.complete("ta ~ name")
-            assert metrics.counter("kernel.flat_runs").value == 0
-            engine.compiled.cache.clear()
-            plain = engine.complete("ta ~ name")
-            assert metrics.counter("kernel.flat_runs").value > 0
+class TestAuditedSearch:
+    def test_audited_searches_run_flat(self, university, monkeypatch):
+        """An audited search runs the flat kernel (the loop production
+        runs) and returns byte-identical results."""
+        calls = []
+        real_run_flat = completion_mod.run_flat
+
+        def counting_run_flat(*args, **kwargs):
+            calls.append(1)
+            return real_run_flat(*args, **kwargs)
+
+        monkeypatch.setattr(completion_mod, "run_flat", counting_run_flat)
+        searcher = CompiledSchema(university).searcher(e=2, pruning="closure")
+        target = RelationshipTarget("name")
+        log = SearchAuditLog()
+        with use_audit(log):
+            audited = searcher.run("ta", target)
+        assert len(calls) == 1
+        assert log.of_kind("expand"), "the flat kernel emitted no records"
+        plain = searcher.run("ta", target)
+        assert len(calls) == 2
         assert _snapshot(audited) == _snapshot(plain)
+        assert _stats(audited) == _stats(plain)
+
+    @pytest.mark.parametrize("case", AUDIT_CASES, ids=lambda c: c[0])
+    def test_stream_matches_the_interpreted_closure_loop(
+        self, case, pinned_streams
+    ):
+        """Record for record, ``seq`` included, plus every counter."""
+        case_id = case[0]
+        expected = pinned_streams[case_id]
+        records, stats = _audit_stream(*case[1:])
+        # JSON round trip: the fixture holds lists where records hold
+        # tuples.
+        records = json.loads(json.dumps(records))
+        assert stats == expected["stats"], case_id
+        assert len(records) == len(expected["records"]), case_id
+        for got, want in zip(records, expected["records"]):
+            assert got == want, (case_id, got["seq"])
 
 
 @pytest.fixture(scope="session")
@@ -293,7 +340,3 @@ def oracle_texts():
     from repro.experiments.workload import build_cupid_workload
 
     return [query.text for query in build_cupid_workload().queries]
-
-
-def test_kernel_modes_are_the_documented_pair():
-    assert KERNEL_MODES == ("interpreted", "flat")

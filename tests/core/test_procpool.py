@@ -96,7 +96,6 @@ class TestWorkerSpec:
         assert clone.e == spec.e
         assert clone.max_depth == spec.max_depth
         assert clone.pruning == spec.pruning
-        assert clone.kernel == spec.kernel
         assert clone.budget_limits == spec.budget_limits
         assert clone.schema.name == spec.schema.name
         rebuilt = clone.build_budget()
@@ -108,12 +107,12 @@ class TestWorkerSpec:
 
     def test_spec_captures_engine_configuration(self, university):
         engine = _fresh_engine(
-            university, e=3, use_caution_sets=False, kernel="flat"
+            university, e=3, use_caution_sets=False, pruning="none"
         )
         spec = worker_spec_for(engine, None)
         assert spec.e == 3
         assert spec.use_caution_sets is False
-        assert spec.kernel == "flat"
+        assert spec.pruning == "none"
         assert spec.pruning == engine.pruning
 
     def test_live_observability_declines_the_handoff(self, university):
@@ -211,11 +210,11 @@ class TestProcessBatchEndToEnd:
             assert value.exhausted, value.truncation_reason
 
     def test_flat_kernel_crosses_the_boundary(self, university):
-        """kernel='flat' engines shard like interpreted ones — the spec
-        carries the knob and workers honor it."""
-        reference = _fresh_engine(university)
+        """Process workers run the flat closure loop and return the
+        reference loop's answers."""
+        reference = _fresh_engine(university, pruning="none")
         expected = [_snapshot(reference.complete(q)) for q in QUERIES]
-        engine = _fresh_engine(university, kernel="flat")
+        engine = _fresh_engine(university, pruning="closure")
         batch = engine.complete_batch(QUERIES, jobs=2, executor="process")
         assert [_snapshot(r) for r in batch.results] == expected
 
