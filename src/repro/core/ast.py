@@ -126,6 +126,13 @@ class ConcretePath:
     Unlike :class:`PathExpression` (pure syntax), a concrete path knows
     the actual schema edges, so its label, class sequence, and acyclicity
     are all well defined.
+
+    The derived label and path text are memoized in the instance
+    ``__dict__`` on first use (see :meth:`label` and :meth:`__str__`),
+    not stored as fields, so equality, hashing, and ``repr`` see only
+    the two fields.  A pickle round-trip (process-pool results cross
+    one) carries the memos along; a path built without them derives
+    them again on first use.
     """
 
     root: str
@@ -202,4 +209,15 @@ class ConcretePath:
         return self.edges[: other.length] == other.edges
 
     def __str__(self) -> str:
-        return str(self.to_expression())
+        """The path as complete expression text, rendered once.
+
+        Every served answer and every cache-size estimate
+        (:func:`~repro.core.compiled.estimate_result_bytes`) renders its
+        paths, and a warm hit hands back the same path objects each
+        time, so the text is cached beside the label memo.
+        """
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = str(self.to_expression())
+            object.__setattr__(self, "_text", text)
+        return text

@@ -82,7 +82,11 @@ def estimate_result_bytes(value: CompletionResult) -> int:
     path texts (the dominant variable part), a fixed per-path and
     per-label object overhead, and a fixed per-entry overhead for the
     key tuple, dict slot, and result shell.  Computed once per ``put``
-    (puts are cold-path), never on lookups.
+    (puts are cold-path), never on lookups.  Rendering a path here
+    memoizes its text on the path
+    (:meth:`~repro.core.ast.ConcretePath.__str__`), so the warm hits
+    that later serve the same result objects reuse it; the ``2 * len``
+    charge covers that cached string.
 
     Duck-typed on purpose: tests (and fault wrappers) park sentinel
     values in the cache, which are charged the fixed shell only.

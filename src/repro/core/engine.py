@@ -46,7 +46,7 @@ from repro.errors import (
 )
 from repro.model.schema import Schema
 from repro.obs.metrics import get_metrics
-from repro.obs.slowlog import get_slowlog
+from repro.obs.slowlog import get_slowlog, observing
 from repro.obs.tracer import get_tracer
 from repro.resilience.budget import Budget, BudgetMeter, TruncationReason, get_budget
 from typing import TYPE_CHECKING
@@ -213,12 +213,13 @@ class Disambiguator:
         the cache only ever holds exhaustive results.
         """
         slowlog = get_slowlog()
-        if not slowlog.enabled:
+        if not slowlog.enabled or observing():
+            # No log, or an outer entry point (a session ask, a serving
+            # request) already owns this query's observation.
             return self._complete_impl(expression, budget)
         # Tail-based slow-query logging: the observation records the
         # span tree (installing a private tracer when none is ambient),
-        # elapsed time, and budget outcome; nested observations (e.g.
-        # inside a session ask) no-op so the outermost owns the query.
+        # elapsed time, and budget outcome.
         with slowlog.observe(
             "complete", str(expression), e=self.e, pruning=self.pruning
         ) as obs:
@@ -241,11 +242,12 @@ class Disambiguator:
             # the cache lookup so the warm path stays untouched.
             if isinstance(expression, str):
                 expression = parse_path_expression(expression)
-            key = self._cache_key(str(expression))
+            text = str(expression)
+            key = self._cache_key(text)
             cached = self.compiled.cache.get(key)
             audit = get_audit()
             if audit.enabled:
-                self._audit_cache(audit, str(expression), cached, key)
+                self._audit_cache(audit, text, cached, key)
             if cached is not None:
                 get_metrics().record_completion(cached.stats, cached=True)
                 return cached
@@ -254,20 +256,22 @@ class Disambiguator:
                 self.compiled.cache.put(key, result)
             get_metrics().record_completion(result.stats, cached=False)
             return result
-        with tracer.span(
-            "complete", expression=str(expression), e=self.e
-        ) as span:
+        # The normalized text is rendered once and reused for the span
+        # attribute, the cache key, and the audit record.
+        text = str(expression)
+        with tracer.span("complete", expression=text, e=self.e) as span:
             if isinstance(expression, str):
                 with tracer.span("parse"):
                     expression = parse_path_expression(expression)
-                span.set(expression=str(expression))
-            key = self._cache_key(str(expression))
+                text = str(expression)
+                span.set(expression=text)
+            key = self._cache_key(text)
             with tracer.span("cache_lookup") as lookup:
                 cached = self.compiled.cache.get(key)
                 lookup.set(hit=cached is not None)
             audit = get_audit()
             if audit.enabled:
-                self._audit_cache(audit, str(expression), cached, key)
+                self._audit_cache(audit, text, cached, key)
             if cached is not None:
                 span.set(cache="hit")
                 get_metrics().record_completion(cached.stats, cached=True)

@@ -100,10 +100,17 @@ class TraversalStats:
         return self.elapsed_seconds / self.recursive_calls
 
     def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for reports."""
-        return dataclasses.asdict(self) | {
-            "seconds_per_call": self.seconds_per_call
-        }
+        """Plain-dict view for reports: every field in declaration
+        order, then ``seconds_per_call``.
+
+        Equal to ``dataclasses.asdict(self) | {"seconds_per_call": ...}``
+        (every field is a scalar, so there is nothing to deep-copy) at
+        a fraction of its cost; the slow log calls this once per
+        observed request.
+        """
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        values["seconds_per_call"] = self.seconds_per_call
+        return values
 
     def record_to(self, registry) -> None:
         """Fold this run's counters into a metrics registry.
@@ -127,10 +134,9 @@ class TraversalStats:
             f"time={self.elapsed_seconds * 1000:.2f}ms"
         )
 
-#: Precomputed once — ``add`` sits on the warm-cache hot loop, where a
-#: per-call ``dataclasses.fields`` walk is measurable.
+#: Precomputed once — ``add`` and ``as_dict`` sit on the warm-cache
+#: hot loop, where a per-call ``dataclasses.fields`` walk is measurable.
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(TraversalStats))
 _SUMMED_FIELD_NAMES = tuple(
-    field.name
-    for field in dataclasses.fields(TraversalStats)
-    if field.name not in _SHARED_FIELDS
+    name for name in _FIELD_NAMES if name not in _SHARED_FIELDS
 )

@@ -272,6 +272,13 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind: type) -> Counter | Gauge | Histogram:
+        # Existing metrics are read without the lock: a name is never
+        # rebound once registered, and a dict read is atomic, so the
+        # lock is only needed to create a metric (one instance per
+        # name even when threads race) or to report a kind mismatch.
+        metric = self._metrics.get(name)
+        if metric is not None and isinstance(metric, kind):
+            return metric
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:

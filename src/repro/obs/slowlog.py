@@ -56,6 +56,7 @@ __all__ = [
     "SlowLogEntry",
     "SlowQueryLog",
     "get_slowlog",
+    "observing",
     "use_slowlog",
 ]
 
@@ -563,6 +564,16 @@ _ACTIVE: ContextVar[SlowQueryLog | NullSlowQueryLog] = ContextVar(
 def get_slowlog() -> SlowQueryLog | NullSlowQueryLog:
     """The slow-query log instrumented entry points should consult."""
     return _ACTIVE.get()
+
+
+def observing() -> bool:
+    """True while an observation is open in this context.
+
+    A nested :meth:`SlowQueryLog.observe` would yield a no-op
+    observation, so a hot entry point can check this and skip opening
+    one at all.
+    """
+    return _OBSERVING.get()
 
 
 @contextlib.contextmanager

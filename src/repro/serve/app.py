@@ -35,7 +35,7 @@ instead of collapsing it*:
   as that request's ambient observability — requests cannot see each
   other's context, and the engine never blocks the accept loop.
 
-* **Bounded memory.**  After every cache-filling request the
+* **Bounded memory.**  After every request that missed the cache the
   cross-tenant governor (:class:`~repro.serve.tenants.TenantRegistry`)
   evicts least-recently-used completion-cache entries from the least
   recently touched tenant until the fleet fits ``max_cache_bytes``.
@@ -119,6 +119,21 @@ __all__ = ["ServingTier"]
 #: Content type of the Prometheus text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: The one method each route answers.
+ROUTES = {
+    "/metrics": "GET",
+    "/healthz": "GET",
+    "/v1/debug": "GET",
+    "/v1/schemas": "GET",
+    "/v1/complete": "POST",
+    "/v1/query": "POST",
+}
+
+#: The ``route`` label of every request that matches no entry of
+#: :data:`ROUTES` (a ``404`` or ``405``).  Labelling those with the raw
+#: method and path would let any client mint unbounded metric series.
+UNMATCHED_ROUTE = "unmatched"
+
 #: Time-dilation factor of the drain-aware clock past the hard
 #: deadline.  A *rate* rather than a constant offset on purpose: a
 #: meter armed before the deadline sees an enormous jump and trips at
@@ -194,6 +209,9 @@ class ServingTier:
         self._conn_tasks: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self.address: tuple[str, int] | None = None
+        #: (route label, status) -> (request counter, latency
+        #: histogram); filled on the loop thread only.
+        self._series: dict[tuple[str, int], tuple] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -462,7 +480,6 @@ class ServingTier:
         job), stamped into the response header, and recorded with the
         outcome in the access log and SLO windows.
         """
-        route = f"{request.method} {request.path}"
         started = time.monotonic()
         content_type = "application/json"
         body: bytes | None = None
@@ -514,12 +531,9 @@ class ServingTier:
             content_type = "application/json"
         keep_alive = request.keep_alive and status < 500
         elapsed_ms = (time.monotonic() - started) * 1000.0
-        self.metrics.counter(
-            labelled("serve.requests", route=route, status=str(status))
-        ).inc()
-        self.metrics.histogram(
-            labelled("serve.latency_ms", route=route)
-        ).observe(elapsed_ms)
+        requests, latency = self._request_series(request, status)
+        requests.inc()
+        latency.observe(elapsed_ms)
         self.slo.record(status, elapsed_ms)
         data = payload if isinstance(payload, dict) else {}
         if self.access_log.enabled:
@@ -557,6 +571,33 @@ class ServingTier:
         )
         return response, keep_alive
 
+    def _request_series(self, request: Request, status: int) -> tuple:
+        """The ``serve.requests`` counter and ``serve.latency_ms``
+        histogram of one request's route and status, resolved once.
+
+        The route label is ``"METHOD /path"`` for a served route and
+        :data:`UNMATCHED_ROUTE` otherwise, so the series stay bounded
+        by the route table times the status codes.
+        """
+        path = request.path
+        route = (
+            f"{request.method} {path}"
+            if ROUTES.get(path) == request.method
+            else UNMATCHED_ROUTE
+        )
+        series = self._series.get((route, status))
+        if series is None:
+            series = (
+                self.metrics.counter(
+                    labelled("serve.requests", route=route, status=str(status))
+                ),
+                self.metrics.histogram(
+                    labelled("serve.latency_ms", route=route)
+                ),
+            )
+            self._series[(route, status)] = series
+        return series
+
     @staticmethod
     def _outcome_of(status: int, payload: dict) -> tuple[str, str | None]:
         """(access-log outcome label, shed reason) for one response."""
@@ -578,45 +619,33 @@ class ServingTier:
         self, request: Request
     ) -> tuple[int, dict | bytes, str, dict[str, str] | None]:
         path = request.path
+        method = ROUTES.get(path)
+        if method is None:
+            raise HttpError(404, f"no route for {path!r}")
+        if request.method != method:
+            raise HttpError(405, f"{path} only supports {method}")
         if path == "/metrics":
-            self._require_method(request, "GET")
             self._export_obs_gauges()
             text = render_prometheus(self.metrics, namespace="repro")
             return 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE, None
         if path == "/healthz":
-            self._require_method(request, "GET")
             return 200, self._health_payload(), "application/json", None
         if path == "/v1/debug":
-            self._require_method(request, "GET")
             return 200, self._debug_payload(), "application/json", None
         if path == "/v1/schemas":
-            self._require_method(request, "GET")
             payload = {
                 "tenants": [
                     tenant.describe() for tenant in self.tenants.tenants()
                 ]
             }
             return 200, payload, "application/json", None
-        if path == "/v1/complete":
-            self._require_method(request, "POST")
-            status, payload, extra = await self._admit(
-                request, self._build_complete_job
-            )
-            return status, payload, "application/json", extra
-        if path == "/v1/query":
-            self._require_method(request, "POST")
-            status, payload, extra = await self._admit(
-                request, self._build_query_job
-            )
-            return status, payload, "application/json", extra
-        raise HttpError(404, f"no route for {path!r}")
-
-    @staticmethod
-    def _require_method(request: Request, method: str) -> None:
-        if request.method != method:
-            raise HttpError(
-                405, f"{request.path} only supports {method}"
-            )
+        build_job = (
+            self._build_complete_job
+            if path == "/v1/complete"
+            else self._build_query_job
+        )
+        status, payload, extra = await self._admit(request, build_job)
+        return status, payload, "application/json", extra
 
     def _health_payload(self) -> dict:
         payload = health_snapshot()
@@ -753,6 +782,19 @@ class ServingTier:
         except ValueError as error:
             raise HttpError(400, str(error)) from error
 
+    def _govern(self, tenant, cache, misses_before: int) -> None:
+        """Run the memory governor if this request may have grown a cache.
+
+        Only a miss can put an entry, so a request whose artifact cache
+        counted no new miss skips the governor — unless the tenant's
+        artifact was swapped mid-request, which the old cache's
+        counters cannot see.  The governor's eviction counters go to
+        the tier's registry.
+        """
+        if cache.misses != misses_before or tenant.compiled.cache is not cache:
+            with use_metrics(self.metrics):
+                self.tenants.enforce_memory_bound()
+
     @contextlib.contextmanager
     def _request_scope(self, kind: str, query: str, **attrs):
         """Worker-side ambient scope for one admitted request.
@@ -769,20 +811,17 @@ class ServingTier:
         sampled = context.sampled if context is not None else False
         if request_id is not None:
             attrs["request_id"] = request_id
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(use_metrics(self.metrics))
-            stack.enter_context(use_slowlog(self.slowlog))
-            if sampled:
-                stack.enter_context(use_tracer(RecordingTracer()))
-            obs = stack.enter_context(
-                self.slowlog.observe(kind, query, **attrs)
-            )
-            if sampled:
-                obs.promote(RETAINED_SAMPLED)
-            with get_tracer().span(
-                "request", kind=kind, request_id=request_id or ""
-            ):
-                yield obs
+        tracing = (
+            use_tracer(RecordingTracer()) if sampled else contextlib.nullcontext()
+        )
+        with use_metrics(self.metrics), use_slowlog(self.slowlog), tracing:
+            with self.slowlog.observe(kind, query, **attrs) as obs:
+                if sampled:
+                    obs.promote(RETAINED_SAMPLED)
+                with get_tracer().span(
+                    "request", kind=kind, request_id=request_id or ""
+                ):
+                    yield obs
 
     def _build_complete_job(self, request: Request):
         payload = json_body(request)
@@ -808,7 +847,7 @@ class ServingTier:
                 with use_budget(budget):
                     result = tenant.engine(e).complete(expression)
                 obs.record_result(result)
-            self.tenants.enforce_memory_bound()
+            self._govern(tenant, cache, misses_before)
             status = 200 if result.exhausted else 206
             body = {
                 "tenant": tenant.name,
@@ -851,6 +890,8 @@ class ServingTier:
         budget = self._request_budget(request)
 
         def job() -> tuple[int, dict]:
+            cache = tenant.compiled.cache
+            misses_before = cache.misses
             with self._request_scope(
                 "serve.query", text, tenant=tenant.name
             ):
@@ -861,7 +902,7 @@ class ServingTier:
                         engine=tenant.engine(1),
                         jobs=jobs,
                     )
-            self.tenants.enforce_memory_bound()
+            self._govern(tenant, cache, misses_before)
             body = {
                 "tenant": tenant.name,
                 "query": text,

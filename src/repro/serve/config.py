@@ -196,7 +196,9 @@ class ServeConfig:
                 raise ValueError(
                     f"invalid {DEADLINE_HEADER} header: {raw!r}"
                 ) from error
-            if deadline_ms <= 0:
+            # ``not > 0`` also rejects NaN, which would otherwise slip
+            # past the ceiling below and arm a deadline that never trips.
+            if not deadline_ms > 0:
                 raise ValueError(
                     f"{DEADLINE_HEADER} must be positive, got {raw!r}"
                 )

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
+import time
 from email.utils import formatdate
 
 __all__ = [
@@ -82,6 +84,10 @@ def json_body(request: Request) -> dict:
         payload = json.loads(request.body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise HttpError(400, f"invalid JSON body: {error}") from error
+    except RecursionError as error:
+        # Arrays or objects nested deeper than the interpreter's
+        # recursion limit: the body is hostile, not a server fault.
+        raise HttpError(400, "invalid JSON body: nested too deeply") from error
     if not isinstance(payload, dict):
         raise HttpError(400, "the JSON body must be an object")
     return payload
@@ -157,6 +163,16 @@ async def read_request(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value for one epoch second.
+
+    The header has one-second resolution, so every response rendered
+    in the same second shares one ``formatdate`` call.
+    """
+    return formatdate(second, usegmt=True)
+
+
 def render_response(
     status: int,
     body: bytes,
@@ -168,7 +184,7 @@ def render_response(
     phrase = STATUS_PHRASES.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {phrase}",
-        f"Date: {formatdate(usegmt=True)}",
+        f"Date: {_http_date(int(time.time()))}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",

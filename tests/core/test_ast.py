@@ -1,5 +1,7 @@
 """Tests for the path-expression AST and concrete paths."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.connectors import Connector
@@ -117,3 +119,57 @@ class TestConcretePath:
         assert step2.startswith(step1)
         assert step2.startswith(path)
         assert not step1.startswith(step2)
+
+
+class TestPathTextMemo:
+    """``str(ConcretePath)`` is memoized in the instance ``__dict__``;
+    the memo must be invisible to everything but the render count."""
+
+    @staticmethod
+    def _path(graph):
+        path = ConcretePath.start("ta")
+        for source, name in (("ta", "grad"), ("grad", "student")):
+            path = path.extend(_edge(graph, source, name))
+        return path
+
+    def test_text_matches_the_expression_and_is_rendered_once(
+        self, university_graph, monkeypatch
+    ):
+        path = self._path(university_graph)
+        renders = []
+        original = ConcretePath.to_expression
+
+        def counting(self):
+            renders.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ConcretePath, "to_expression", counting)
+        assert str(path) == str(original(path)) == "ta@>grad@>student"
+        assert str(path) is str(path)
+        assert len(renders) == 1
+
+    def test_memo_is_invisible_to_equality_hash_and_repr(
+        self, university_graph
+    ):
+        rendered = self._path(university_graph)
+        fresh = self._path(university_graph)
+        str(rendered)
+        rendered.label()
+        assert "_text" in vars(rendered) and "_text" not in vars(fresh)
+        assert rendered == fresh
+        assert hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)
+        assert "_text" not in repr(rendered)
+        assert {rendered: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("render_first", [True, False])
+    def test_pickle_round_trip(self, university_graph, render_first):
+        path = self._path(university_graph)
+        if render_first:
+            str(path)
+        copy = pickle.loads(pickle.dumps(path))
+        assert copy == path
+        assert hash(copy) == hash(path)
+        assert repr(copy) == repr(path)
+        assert str(copy) == str(path)
+        assert copy.label() == path.label()

@@ -1,6 +1,10 @@
 """Tests for TraversalStats aggregation and timing conventions."""
 
+import dataclasses
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.stats import TraversalStats
 
@@ -72,3 +76,39 @@ class TestRecordTo:
         stats = TraversalStats(recursive_calls=2)
         stats.record_to(probe)
         assert probe.seen == [stats]
+
+
+def _stats_strategy():
+    """Every field drawn independently: counters as non-negative ints,
+    times as any finite non-negative float."""
+    fields = {}
+    for field in dataclasses.fields(TraversalStats):
+        if field.type in ("int", int):
+            fields[field.name] = st.integers(min_value=0, max_value=10**12)
+        else:
+            fields[field.name] = st.floats(
+                min_value=0.0, max_value=1e9, allow_nan=False
+            )
+    return st.fixed_dictionaries(fields).map(lambda kw: TraversalStats(**kw))
+
+
+class TestAsDict:
+    @given(_stats_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dataclasses_asdict_view(self, stats):
+        expected = dataclasses.asdict(stats) | {
+            "seconds_per_call": stats.seconds_per_call
+        }
+        view = stats.as_dict()
+        assert view == expected
+        assert list(view) == list(expected)
+        assert [type(value) for value in view.values()] == [
+            type(value) for value in expected.values()
+        ]
+
+    def test_view_is_a_fresh_dict(self):
+        stats = TraversalStats(recursive_calls=3)
+        view = stats.as_dict()
+        view["recursive_calls"] = 99
+        assert stats.recursive_calls == 3
+        assert stats.as_dict() is not stats.as_dict()

@@ -1,5 +1,8 @@
 """Tests for the metrics registry (repro.obs.metrics)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.stats import TraversalStats
@@ -54,6 +57,58 @@ class TestPrimitives:
         registry.counter("name")
         with pytest.raises(TypeError):
             registry.gauge("name")
+
+    def test_kind_conflict_raises_for_every_other_kind(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        registry.histogram("h")
+        for name, other in (("c", registry.histogram), ("h", registry.counter)):
+            with pytest.raises(TypeError):
+                other(name)
+        # The failed lookups neither replaced nor duplicated the metric.
+        assert registry.counter("c") is counter
+        assert len(registry) == 2
+
+    def test_get_or_create_is_one_instance_under_threads(self):
+        registry = MetricsRegistry()
+        names = [f"series.{index}" for index in range(50)]
+        threads = 8
+        barrier = threading.Barrier(threads)
+        seen: list[list] = [[] for _ in range(threads)]
+        errors: list[BaseException] = []
+
+        def worker(slot: int) -> None:
+            try:
+                barrier.wait()
+                for name in names:
+                    metric = registry.counter(name)
+                    metric.inc()
+                    seen[slot].append(metric)
+                with pytest.raises(TypeError):
+                    registry.histogram(names[slot])
+            except BaseException as error:  # pragma: no cover - reported
+                errors.append(error)
+
+        pool = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        for index, name in enumerate(names):
+            instances = {id(seen[slot][index]) for slot in range(threads)}
+            assert instances == {id(registry.counter(name))}
+            assert registry.counter(name).value == threads
+        assert len(registry) == len(names)
 
     def test_snapshot_includes_p99(self):
         histogram = MetricsRegistry().histogram("h")

@@ -146,3 +146,37 @@ class TestResponses:
         assert b"206 Partial Content" in head
         assert json.loads(body) == {"a": 1, "b": 2}
         assert body.endswith(b"\n")
+
+    def test_date_header_is_formatted_once_per_second(self, monkeypatch):
+        from email.utils import formatdate
+
+        from repro.serve import http
+
+        calls = []
+
+        def counting(timeval=None, localtime=False, usegmt=False):
+            calls.append(timeval)
+            return formatdate(timeval, localtime, usegmt)
+
+        now = [1_700_000_000.25]
+        monkeypatch.setattr(http, "formatdate", counting)
+        monkeypatch.setattr(http.time, "time", lambda: now[0])
+        http._http_date.cache_clear()
+        try:
+            first = render_response(200, b"")
+            now[0] += 0.5
+            second = render_response(200, b"")
+            now[0] += 0.5
+            third = render_response(200, b"")
+        finally:
+            http._http_date.cache_clear()
+        assert calls == [1_700_000_000, 1_700_000_001]
+        date = [
+            line
+            for line in first.split(b"\r\n")
+            if line.startswith(b"Date: ")
+        ]
+        assert date == [b"Date: Tue, 14 Nov 2023 22:13:20 GMT"]
+        assert date[0] in second
+        assert date[0] not in third
+        assert b"Date: Tue, 14 Nov 2023 22:13:21 GMT" in third

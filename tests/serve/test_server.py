@@ -207,8 +207,17 @@ class TestConfigValidation:
 
     def test_header_deadline_is_clamped_to_max(self):
         config = ServeConfig(max_deadline_ms=2000.0)
-        budget = config.budget_for({"x-deadline-ms": "999999"})
-        assert budget.max_seconds == pytest.approx(2.0)
+        for raw in ("999999", "inf"):
+            budget = config.budget_for({"x-deadline-ms": raw})
+            assert budget.max_seconds == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan"])
+    def test_nan_header_deadline_is_rejected(self, raw):
+        # NaN compares false against everything, so it used to pass the
+        # positivity check and the ceiling and arm a deadline that
+        # never trips.
+        with pytest.raises(ValueError):
+            ServeConfig().budget_for({"x-deadline-ms": raw})
 
     def test_header_max_nodes_is_parsed(self):
         budget = ServeConfig().budget_for({"x-max-nodes": "77"})
