@@ -52,6 +52,7 @@ per-target tables are built lazily on first use and memoized.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -130,6 +131,22 @@ _PREPEND_WEIGHT: tuple[tuple[int, ...], ...] = tuple(
     for edge_conn in PRIMARY_CONNECTORS
 )
 
+#: States per node in the distance array: (composed connector, first
+#: primary connector).
+_STRIDE = _N_CONNECTORS * _N_PRIMARY
+
+#: ``_NEXT_OFFSET[p][composed]`` — where, within the source node's
+#: block of :data:`_STRIDE` states, prepending an edge with primary
+#: connector index ``p`` to a suffix with composed connector
+#: ``composed`` lands: ``CON_c(p, composed) * 6 + p``.
+_NEXT_OFFSET: tuple[tuple[int, ...], ...] = tuple(
+    tuple(
+        _CONI[edge_conn.index][composed] * _N_PRIMARY + primary
+        for composed in range(_N_CONNECTORS)
+    )
+    for primary, edge_conn in enumerate(PRIMARY_CONNECTORS)
+)
+
 #: Seam classes of a prefix's last collapsed connector.  Only the four
 #: collapsible connectors interact with the suffix seam; everything else
 #: (``.``, and the impossible non-primary cases) adjusts by zero.
@@ -154,6 +171,73 @@ _SEAM_BY_CLASS: tuple[tuple[int, ...], ...] = tuple(
     )
     for lc in (*range(_N_PRIMARY), _LAST_OTHER)
 )
+
+
+@functools.lru_cache(maxsize=4096)
+def _fold(block: bytes) -> tuple[bytes, tuple[int, ...]]:
+    """One node's collapsed row and achievable connectors.
+
+    ``block`` is the node's :data:`_STRIDE` raw state distances.  The
+    (first connector) axis folds into per-seam-class minima, clamped to
+    ``[0, _CAP]``; the achievable composed connectors come strongest
+    (lowest sort rank) first.  Memoized on the block's bytes: nodes
+    across tables and schemas repeat a small set of blocks, and the
+    results are immutable, so sharing them is safe.
+    """
+    row = bytearray([_INF]) * (_N_LAST_CLASSES * _N_CONNECTORS)
+    achievable: list[int] = []
+    for composed in range(_N_CONNECTORS):
+        offset = composed * _N_PRIMARY
+        finite = [
+            (first, d)
+            for first, d in enumerate(block[offset : offset + _N_PRIMARY])
+            if d < _INF
+        ]
+        if not finite:
+            continue
+        achievable.append(composed)
+        for last_class in range(_N_LAST_CLASSES):
+            seam = _SEAM_BY_CLASS[last_class]
+            best = min(d + seam[first] for first, d in finite)
+            row[last_class * _N_CONNECTORS + composed] = min(max(best, 0), _CAP)
+    achievable.sort(key=_SORT_RANK.__getitem__)
+    return bytes(row), tuple(achievable)
+
+
+def _relax(
+    dist: bytearray, queue: deque, in_edges: list[list], changed: set[int]
+) -> None:
+    """Run the backward 0/1-BFS worklist to its fixpoint.
+
+    ``queue`` holds ``(state, distance)`` entries; ``in_edges[v]`` lists
+    the interior edges into node ``v`` as ``(source, source *
+    _STRIDE, _NEXT_OFFSET row, _PREPEND_WEIGHT row)``.  Updates are
+    strict decreases over bounded non-negative integers, so the
+    fixpoint does not depend on the order or distances of the seeds.
+    Every node whose state improves is added to ``changed``.
+    """
+    popleft = queue.popleft
+    append = queue.append
+    appendleft = queue.appendleft
+    while queue:
+        state, d = popleft()
+        if d > dist[state]:
+            continue  # stale queue entry
+        node, rest = divmod(state, _STRIDE)
+        composed, first = divmod(rest, _N_PRIMARY)
+        for source, source_base, offsets, weights in in_edges[node]:
+            weight = weights[first]
+            nd = d + weight
+            if nd > _CAP:
+                continue
+            next_state = source_base + offsets[composed]
+            if nd < dist[next_state]:
+                dist[next_state] = nd
+                changed.add(source)
+                if weight:
+                    append((next_state, nd))
+                else:
+                    appendleft((next_state, nd))
 
 
 def has_static_adjacency(graph: SchemaGraph) -> bool:
@@ -627,10 +711,9 @@ class SchemaClosure:
         dropped when their child's ``conns`` row was empty.
         """
         n = len(self.nodes)
-        stride = _N_CONNECTORS * _N_PRIMARY
         dist = bytearray(tables.dist)
-        if len(dist) < n * stride:
-            dist.extend(bytearray([_INF]) * (n * stride - len(dist)))
+        if len(dist) < n * _STRIDE:
+            dist.extend(bytearray([_INF]) * (n * _STRIDE - len(dist)))
         reach_mask = tables.reach_mask
         index = self.index
         queue: deque[tuple[int, int]] = deque()
@@ -639,42 +722,27 @@ class SchemaClosure:
         for edge in added_edges:
             position = index[edge.source]
             connector = edge.connector
-            primary = _PRIMARY_INDEX[connector]
             if target.is_completing_edge(edge):
                 reach_mask |= 1 << position
                 base = 0 if connector.is_taxonomic else 1
                 state = (
-                    position * _N_CONNECTORS + connector.index
-                ) * _N_PRIMARY + primary
+                    position * _STRIDE
+                    + connector.index * _N_PRIMARY
+                    + _PRIMARY_INDEX[connector]
+                )
                 if base < dist[state]:
                     dist[state] = base
                     changed.add(position)
                     queue.appendleft((state, base))
             else:
-                # Relax the new interior edge once from every finite
-                # state of its child; the worklist carries it on.
-                child_base = index[edge.target] * stride
-                weights = _PREPEND_WEIGHT[primary]
-                con_row = _CON_ROWS[connector.index]
-                for composed in range(_N_CONNECTORS):
-                    offset = child_base + composed * _N_PRIMARY
-                    for first in range(_N_PRIMARY):
-                        d = dist[offset + first]
-                        if d >= _INF:
-                            continue
-                        nd = d + weights[first]
-                        if nd > _CAP:
-                            continue
-                        state = (
-                            position * _N_CONNECTORS + con_row[composed].index
-                        ) * _N_PRIMARY + primary
-                        if nd < dist[state]:
-                            dist[state] = nd
-                            changed.add(position)
-                            if weights[first]:
-                                queue.append((state, nd))
-                            else:
-                                queue.appendleft((state, nd))
+                # Re-seed every finite state of the new edge's child;
+                # the relaxation carries them across the new edge (and
+                # finds nothing new across the child's old in-edges,
+                # which are already at the fixpoint).
+                child_base = index[edge.target] * _STRIDE
+                for state in range(child_base, child_base + _STRIDE):
+                    if dist[state] < _INF:
+                        queue.append((state, dist[state]))
 
         if queue:
             in_edges: list[list] = [[] for _ in range(n)]
@@ -682,43 +750,26 @@ class SchemaClosure:
                 for edge in self.graph.edges_from(name):
                     if target.is_completing_edge(edge):
                         continue
+                    primary = _PRIMARY_INDEX[edge.connector]
                     in_edges[index[edge.target]].append(
                         (
                             position,
-                            _PRIMARY_INDEX[edge.connector],
-                            _PREPEND_WEIGHT[_PRIMARY_INDEX[edge.connector]],
-                            _CON_ROWS[edge.connector.index],
+                            position * _STRIDE,
+                            _NEXT_OFFSET[primary],
+                            _PREPEND_WEIGHT[primary],
                         )
                     )
-            while queue:
-                state, d = queue.popleft()
-                if d > dist[state]:
-                    continue
-                node, rest = divmod(state, stride)
-                composed, first = divmod(rest, _N_PRIMARY)
-                for source, primary, weights, con_row in in_edges[node]:
-                    weight = weights[first]
-                    nd = d + weight
-                    if nd > _CAP:
-                        continue
-                    next_state = (
-                        source * _N_CONNECTORS + con_row[composed].index
-                    ) * _N_PRIMARY + primary
-                    if nd < dist[next_state]:
-                        dist[next_state] = nd
-                        changed.add(source)
-                        if weight:
-                            queue.append((next_state, nd))
-                        else:
-                            queue.appendleft((next_state, nd))
+            _relax(dist, queue, in_edges, changed)
 
         rows = list(tables.rows)
         conns = list(tables.conns)
         while len(rows) < n:
             rows.append(b"")
             conns.append(())
+        raw = bytes(dist)
         for node in sorted(changed | set(range(len(tables.rows), n))):
-            rows[node], conns[node] = self._collapse_node(dist, node)
+            base = node * _STRIDE
+            rows[node], conns[node] = _fold(raw[base : base + _STRIDE])
 
         repaired = TargetTables(
             reach_mask=reach_mask,
@@ -776,16 +827,14 @@ class SchemaClosure:
         """Backward 0/1-BFS over (node, composed connector, first) states."""
         n = len(self.nodes)
         index = self.index
-        stride = _N_CONNECTORS * _N_PRIMARY  # states per node
-        dist = bytearray([_INF]) * (n * stride)
+        dist = bytearray([_INF]) * (n * _STRIDE)
         queue: deque[tuple[int, int]] = deque()
         reach_mask = 0
-        # In-edges along interior (non-completing) edges, as
-        # (source index, primary index, weight row, CON row) tuples.
-        in_edges: list[list[tuple[int, int, tuple[int, ...], tuple[Connector, ...]]]] = [
-            [] for _ in range(n)
-        ]
+        # In-edges along interior (non-completing) edges, in the form
+        # _relax reads.
+        in_edges: list[list] = [[] for _ in range(n)]
         for position, name in enumerate(self.nodes):
+            position_base = position * _STRIDE
             for edge in self.graph.edges_from(name):
                 connector = edge.connector
                 primary = _PRIMARY_INDEX[connector]
@@ -793,8 +842,8 @@ class SchemaClosure:
                     reach_mask |= 1 << position
                     base = 0 if connector.is_taxonomic else 1
                     state = (
-                        position * _N_CONNECTORS + connector.index
-                    ) * _N_PRIMARY + primary
+                        position_base + connector.index * _N_PRIMARY + primary
+                    )
                     if base < dist[state]:
                         dist[state] = base
                         queue.appendleft((state, base))
@@ -802,31 +851,12 @@ class SchemaClosure:
                     in_edges[index[edge.target]].append(
                         (
                             position,
-                            primary,
+                            position_base,
+                            _NEXT_OFFSET[primary],
                             _PREPEND_WEIGHT[primary],
-                            _CON_ROWS[connector.index],
                         )
                     )
-        while queue:
-            state, d = queue.popleft()
-            if d > dist[state]:
-                continue  # stale queue entry
-            node, rest = divmod(state, stride)
-            composed, first = divmod(rest, _N_PRIMARY)
-            for source, primary, weights, con_row in in_edges[node]:
-                weight = weights[first]
-                nd = d + weight
-                if nd > _CAP:
-                    continue
-                next_state = (
-                    source * _N_CONNECTORS + con_row[composed].index
-                ) * _N_PRIMARY + primary
-                if nd < dist[next_state]:
-                    dist[next_state] = nd
-                    if weight:
-                        queue.append((next_state, nd))
-                    else:
-                        queue.appendleft((next_state, nd))
+        _relax(dist, queue, in_edges, set())
         tables = self._collapse_tables(dist, reach_mask)
         self._attach_edge_lists(tables, target)
         return tables
@@ -861,48 +891,15 @@ class SchemaClosure:
             tables.reach_pruned.append(len(dropped))
             tables.reach_dropped.append(tuple(dropped))
 
-    @staticmethod
-    def _collapse_node(
-        dist: bytearray, node: int
-    ) -> tuple[bytes, tuple[int, ...]]:
-        """One node's collapsed row: fold the (first connector) axis
-        into per-seam-class minima."""
-        stride = _N_CONNECTORS * _N_PRIMARY
-        base = node * stride
-        row = bytearray([_INF]) * (_N_LAST_CLASSES * _N_CONNECTORS)
-        achievable: list[int] = []
-        for composed in range(_N_CONNECTORS):
-            offset = base + composed * _N_PRIMARY
-            segment = dist[offset : offset + _N_PRIMARY]
-            if min(segment) >= _INF:
-                continue
-            achievable.append(composed)
-            for last_class in range(_N_LAST_CLASSES):
-                seam = _SEAM_BY_CLASS[last_class]
-                best = _INF
-                for first in range(_N_PRIMARY):
-                    d = segment[first]
-                    if d >= _INF:
-                        continue
-                    value = d + seam[first]
-                    if value < best:
-                        best = value
-                if best < 0:
-                    best = 0
-                elif best > _CAP:
-                    best = _CAP
-                row[last_class * _N_CONNECTORS + composed] = best
-        achievable.sort(key=lambda ci: ALL_CONNECTORS[ci].sort_rank)
-        return bytes(row), tuple(achievable)
-
     def _collapse_tables(
         self, dist: bytearray, reach_mask: int
     ) -> TargetTables:
         """Fold the (first connector) axis into per-seam-class minima."""
+        raw = bytes(dist)
         rows: list[bytes] = []
         conns: list[tuple[int, ...]] = []
-        for node in range(len(self.nodes)):
-            row, achievable = self._collapse_node(dist, node)
+        for base in range(0, len(raw), _STRIDE):
+            row, achievable = _fold(raw[base : base + _STRIDE])
             rows.append(row)
             conns.append(achievable)
         return TargetTables(

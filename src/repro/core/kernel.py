@@ -6,7 +6,9 @@ It is the paper's ``traverse`` routine plus the two closure cut rules
 (:mod:`repro.core.closure`), written over dense integers so CPython
 spends its time on the search rather than on object traffic:
 
-* nodes are closure indexes, ``visited`` is one int bitset;
+* nodes are closure indexes, ``visited`` is a ``bytearray`` indexed by
+  them (one byte read per test, where an int bitset of a 96-node
+  closure would allocate a multi-digit int per shift);
 * a path label is a single small int — the *lstate* — encoding
   ``(composed connector index, seam class of the last edge)``; label
   composition and the :meth:`SemanticLengthState.join
@@ -165,10 +167,12 @@ def run_flat(
     """Algorithm 2 with closure cuts, on flat integer state.
 
     Iterative rendering of the paper's recursive ``traverse``: a stack
-    frame ``(node, lstate, length, depth, next edge index)`` with edge
-    index 0 is a node still to be entered (lines 1-5); pushing one is a
-    recursive call (line 13), and a frame running past its last edge
-    returns past line 15.  On top of the paper's cuts:
+    frame ``(node, lstate, length, depth, edge iterator)`` whose
+    iterator is ``None`` is a node still to be entered (lines 1-5);
+    pushing one is a recursive call (line 13), after the parent frame
+    is pushed back with its partly consumed iterator, and a frame whose
+    iterator runs out returns past line 15.  On top of the paper's
+    cuts:
 
     * *reachability pruning* — edges to children from which no
       completing edge is reachable were dropped into
@@ -180,6 +184,24 @@ def run_flat(
       optimistic complete label that ``best[T]`` keeps, or one whose
       caution set intersects ``best[T]`` (the non-distributivity
       exemption).
+
+    The label-bound verdict for a child reads only static tables,
+    ``cutoffs`` and ``bt_mask``, and the last two change only when the
+    cutoff table is rebuilt.  So it is memoized per (child index, child
+    lstate) as two values — the largest child length that some suffix
+    before the first caution-exempt suffix admits, and whether such an
+    exempt suffix exists — and the memo is cleared on every rebuild.
+    The suffix scan stops at the first suffix that admits the length or
+    is exempt, so "length within the admitted maximum" is a plain
+    survival, else an exempt suffix is a rescue, else the edge is cut:
+    the same outcome, and the same audit record, as the scan itself.
+
+    ``stats.edges_considered`` is not counted per edge: every considered
+    edge ends in exactly one ``visited``, ``max_depth``,
+    ``target_bound``, ``best_bound`` or ``label_bound`` cut or in one
+    recursion, and every node entry but the root's is a recursion, so
+    the count is the cut total plus ``recursive_calls - 1`` (also on a
+    budget trip, which fires after the entry is counted).
 
     Fills ``state.complete`` and ``state.stats`` (also on a budget trip,
     so truncation keeps the best-so-far anytime answer) and raises
@@ -236,20 +258,26 @@ def run_flat(
             label=_label_str(ci, length),
         )
 
-    visited = 0
+    visited = bytearray(len(interior))
     best: list = [None] * len(interior)
     bt: list = []  # best[T] as AGG*-reduced triples
     bt_mask = 0
     bt_dirty = False
     cutoffs = [no_cutoff] * n_conn
+    # Label-bound verdicts under the current cutoffs, keyed by
+    # child index * 84 + child lstate: (largest admitted child length,
+    # caution-exempt suffix exists).  Cleared on every cutoff rebuild.
+    lb_memo: dict = {}
+    lb_memo_get = lb_memo.get
+    n_lstates = _N_LSTATES
     # Recorded complete paths: (edge prefix tuple, completing edge,
     # composed connector index, semantic length), materialized at exit.
     complete_rec: list = []
     complete_rec_append = complete_rec.append
 
     recursive_calls = 0
-    edges_considered = 0
     pruned_visited = 0
+    pruned_max_depth = 0
     pruned_target_bound = 0
     pruned_best_bound = 0
     rescued_by_caution = 0
@@ -259,17 +287,17 @@ def run_flat(
     path_edges: list = []
     path_edges_append = path_edges.append
     path_edges_pop = path_edges.pop
-    stack: list = [(closure.index[root], 0, 0, 0, 0)]
+    stack: list = [(closure.index[root], 0, 0, 0, None)]
     stack_append = stack.append
     stack_pop = stack.pop
 
     try:
         while stack:
-            node_i, lstate, length, depth, edge_index = stack_pop()
-            if not edge_index:
+            node_i, lstate, length, depth, edge_iter = stack_pop()
+            if edge_iter is None:
                 # Lines 1-5: mark visited, record the complete paths via
                 # the completing edges out of this node, update best[T].
-                visited |= 1 << node_i
+                visited[node_i] = 1
                 recursive_calls += 1
                 nodes_pruned_reachability += reach_pruned[node_i]
                 if audit_on:
@@ -292,7 +320,7 @@ def run_flat(
                 prefix = None
                 ex_base = lstate * n_conn
                 for t_i, c_i, cedge in completing[node_i]:
-                    if visited >> t_i & 1:
+                    if visited[t_i]:
                         continue  # would close a cycle; ignored
                     cand_lstate = ext_lstate[ex_base + c_i]
                     cand_ci = ci_of[cand_lstate]
@@ -361,21 +389,18 @@ def run_flat(
                             kept=kept,
                         )
 
-            edges = interior[node_i]
-            n_edges = len(edges)
+                edge_iter = iter(interior[node_i])
             # Frame-constant hoists for the per-edge loop below.
             ls_base = lstate * n_conn
             child_depth = depth + 1
-            while edge_index < n_edges:
-                child_i, c_i, edge = edges[edge_index]
-                edge_index += 1
-                edges_considered += 1
-                if visited >> child_i & 1:
+            for child_i, c_i, edge in edge_iter:
+                if visited[child_i]:
                     pruned_visited += 1
                     if audit_on:
                         audit_cut("visited", node_i, depth, edge)
                     continue
                 if child_depth >= depth_limit:
+                    pruned_max_depth += 1
                     if audit_on:
                         audit_cut("max_depth", node_i, depth, edge)
                     continue
@@ -391,6 +416,7 @@ def run_flat(
                         # own bit can knock frontier members out of the
                         # connector filter.
                         bt_dirty = False
+                        lb_memo.clear()
                         bt_mask = 0
                         for t in bt:
                             bt_mask |= 1 << t[2]
@@ -518,17 +544,28 @@ def run_flat(
                 # Label-bound pruning (after line 12, so best[] evolves
                 # identically to the reference loop).
                 if bt:
-                    row = rows_[child_i]
-                    base = lb_rowbase[child_lstate]
-                    composed_row = coni[child_ci]
-                    survives = False
-                    for suffix_ci in conns[child_i]:
-                        composed_i = composed_row[suffix_ci]
-                        if (
-                            caution_masks is not None
-                            and bt_mask & caution_masks[composed_i]
-                        ):
-                            survives = True  # caution exemption
+                    memo_key = child_i * n_lstates + child_lstate
+                    verdict = lb_memo_get(memo_key)
+                    if verdict is None:
+                        row = rows_[child_i]
+                        base = lb_rowbase[child_lstate]
+                        composed_row = coni[child_ci]
+                        admitted = -no_cutoff
+                        exempt = False
+                        for suffix_ci in conns[child_i]:
+                            composed_i = composed_row[suffix_ci]
+                            if (
+                                caution_masks is not None
+                                and bt_mask & caution_masks[composed_i]
+                            ):
+                                exempt = True
+                                break
+                            slack = cutoffs[composed_i] - row[base + suffix_ci]
+                            if slack > admitted:
+                                admitted = slack
+                        verdict = lb_memo[memo_key] = (admitted, exempt)
+                    if child_length > verdict[0]:
+                        if verdict[1]:
                             if audit_on:
                                 audit_rescue(
                                     "label_bound",
@@ -538,53 +575,57 @@ def run_flat(
                                     child_ci,
                                     child_length,
                                 )
-                            break
-                        if (
-                            child_length + row[base + suffix_ci]
-                            <= cutoffs[composed_i]
-                        ):
-                            survives = True
-                            break
-                    if not survives:
-                        nodes_pruned_bound += 1
-                        if audit_on:
-                            audit_cut(
-                                "label_bound",
-                                node_i,
-                                depth,
-                                edge,
-                                label=_label_str(child_ci, child_length),
-                                length=child_length,
-                                bounds=[
-                                    {
-                                        "connector": _SYMBOL[
-                                            composed_row[suffix_ci]
-                                        ],
-                                        "bound": child_length
-                                        + row[base + suffix_ci],
-                                        "cutoff": cutoffs[
-                                            composed_row[suffix_ci]
-                                        ],
-                                    }
-                                    for suffix_ci in conns[child_i]
-                                ],
-                            )
-                        continue
+                        else:
+                            nodes_pruned_bound += 1
+                            if audit_on:
+                                row = rows_[child_i]
+                                base = lb_rowbase[child_lstate]
+                                composed_row = coni[child_ci]
+                                audit_cut(
+                                    "label_bound",
+                                    node_i,
+                                    depth,
+                                    edge,
+                                    label=_label_str(child_ci, child_length),
+                                    length=child_length,
+                                    bounds=[
+                                        {
+                                            "connector": _SYMBOL[
+                                                composed_row[suffix_ci]
+                                            ],
+                                            "bound": child_length
+                                            + row[base + suffix_ci],
+                                            "cutoff": cutoffs[
+                                                composed_row[suffix_ci]
+                                            ],
+                                        }
+                                        for suffix_ci in conns[child_i]
+                                    ],
+                                )
+                            continue
                 # Line 13: recurse — push the parent frame back with its
-                # position, then the child, entered on the next pop.
-                stack_append((node_i, lstate, length, depth, edge_index))
+                # iterator, then the child, entered on the next pop.
+                stack_append((node_i, lstate, length, depth, edge_iter))
                 path_edges_append(edge)
                 stack_append(
-                    (child_i, child_lstate, child_length, child_depth, 0)
+                    (child_i, child_lstate, child_length, child_depth, None)
                 )
                 break
             else:
-                visited &= ~(1 << node_i)  # line 15
+                visited[node_i] = 0  # line 15
                 if depth:
                     path_edges_pop()
     finally:
         stats.recursive_calls += recursive_calls
-        stats.edges_considered += edges_considered
+        stats.edges_considered += (
+            pruned_visited
+            + pruned_max_depth
+            + pruned_target_bound
+            + pruned_best_bound
+            + nodes_pruned_bound
+            + recursive_calls
+            - 1
+        )
         stats.pruned_visited += pruned_visited
         stats.pruned_target_bound += pruned_target_bound
         stats.pruned_best_bound += pruned_best_bound

@@ -20,6 +20,7 @@ import lzma
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra.connectors import ALL_CONNECTORS, PRIMARY_CONNECTORS
 from repro.algebra.labels import PathLabel
@@ -333,6 +334,62 @@ class TestAuditedSearch:
         assert len(records) == len(expected["records"]), case_id
         for got, want in zip(records, expected["records"]):
             assert got == want, (case_id, got["seq"])
+
+
+#: The cut rules that end a considered edge; ``reachability`` cuts are
+#: edges the closure dropped before the search could consider them.
+PER_EDGE_CUTS = ("visited", "max_depth", "target_bound", "best_bound", "label_bound")
+
+
+class TestDerivedEdgeCount:
+    """``run_flat`` derives ``edges_considered`` instead of counting it:
+    every considered edge ends in one per-edge cut or one recursion, and
+    every expansion but the root's is a recursion."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=5_000),
+        classes=st.integers(min_value=4, max_value=20),
+        e=st.integers(min_value=1, max_value=3),
+        max_depth=st.sampled_from((None, 2, 3, 5)),
+        max_nodes=st.sampled_from((None, 1, 5, 25, 80)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_edges_considered_is_cuts_plus_recursions(
+        self, seed, classes, e, max_depth, max_nodes, data
+    ):
+        schema = generate_schema(
+            GeneratorConfig(classes=classes, seed=seed, association_factor=1.2)
+        )
+        searcher = CompiledSchema(schema).searcher(
+            e=e, max_depth=max_depth, pruning="closure"
+        )
+        root = data.draw(
+            st.sampled_from([f"cls_{index:03d}" for index in range(classes)])
+        )
+        target = RelationshipTarget(
+            data.draw(st.sampled_from(("label", "rel_000", "attr_000")))
+        )
+
+        def run():
+            budget = (
+                Budget(max_nodes=max_nodes, partial_ok=True)
+                if max_nodes is not None
+                else None
+            )
+            return searcher.run(root, target, budget=budget)
+
+        log = SearchAuditLog()
+        with use_audit(log):
+            audited = run()
+        cuts = sum(
+            1
+            for record in log.of_kind("cut")
+            if record["rule"] in PER_EDGE_CUTS
+        )
+        expands = len(log.of_kind("expand"))
+        assert audited.stats.edges_considered == cuts + expands - 1
+        assert _stats(run()) == _stats(audited)
 
 
 @pytest.fixture(scope="session")
