@@ -72,6 +72,13 @@ __all__ = [
 #: Default bound on the number of cached completion results per artifact.
 DEFAULT_CACHE_SIZE = 1024
 
+#: Bound on the memoized searchers per artifact, one per (E, flags,
+#: pruning) setting.  E comes from clients, so an unbounded memo would
+#: let them grow server memory one ~8 KB searcher per distinct E; past
+#: the bound the least recently used searcher is dropped (rebuilding
+#: one costs ~60 us, and engines keep the searcher they were built with).
+SEARCHER_MEMO_SIZE = 16
+
 
 def estimate_result_bytes(value: CompletionResult) -> int:
     """A deterministic, cheap estimate of one cached result's footprint.
@@ -380,7 +387,7 @@ class CompiledSchema:
             # brute force.
             self.closure = SchemaClosure.for_graph(self.graph)
             self.cache = CompletionCache(cache_size)
-            self._searches: dict[tuple, CompletionSearch] = {}
+            self._searches: OrderedDict[tuple, CompletionSearch] = OrderedDict()
             self._lock = threading.Lock()
             #: Fingerprints of the ancestor artifacts this one was
             #: evolved from, oldest first; empty for cold compiles.
@@ -500,7 +507,7 @@ class CompiledSchema:
         )
         if evicted:
             get_metrics().counter("cache.selective_evictions").inc(evicted)
-        evolved._searches = {}
+        evolved._searches = OrderedDict()
         evolved._lock = threading.Lock()
         evolved.lineage = ()
         evolved.compile_seconds = time.perf_counter() - started
@@ -529,7 +536,9 @@ class CompiledSchema:
         )
         with self._lock:
             search = self._searches.get(key)
-            if search is None:
+            if search is not None:
+                self._searches.move_to_end(key)
+            else:
                 search = CompletionSearch(
                     self.graph,
                     order=self.order,
@@ -542,6 +551,8 @@ class CompiledSchema:
                     closure=self.closure if pruning == "closure" else None,
                 )
                 self._searches[key] = search
+                if len(self._searches) > SEARCHER_MEMO_SIZE:
+                    self._searches.popitem(last=False)
             return search
 
     def cache_key(

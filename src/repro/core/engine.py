@@ -19,6 +19,12 @@ successful completion is stored in the artifact's bounded LRU cache, so
 any engine, session, Fox query, or experiment sharing the artifact
 reuses it; :meth:`Disambiguator.complete_batch` runs a workload through
 the cache and reports hit/miss counters.
+
+A completion is three steps: :meth:`Disambiguator.lookup` (parse and one
+counted cache read), the search, and :meth:`Disambiguator.finish`
+(cache, account).  ``complete`` runs them inline; a server answers a hit
+from ``lookup`` alone and hands only a miss's search to a worker, as
+``complete(pending)``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from repro.errors import (
 from repro.model.schema import Schema
 from repro.obs.metrics import get_metrics
 from repro.obs.slowlog import get_slowlog, observing
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import _NULL_SPAN, get_tracer
 from repro.resilience.budget import Budget, BudgetMeter, TruncationReason, get_budget
 from typing import TYPE_CHECKING
 from collections.abc import Iterable
@@ -55,7 +61,7 @@ from collections.abc import Iterable
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime
     from repro.core.explain import Explanation
 
-__all__ = ["BatchCompletionResult", "Disambiguator"]
+__all__ = ["BatchCompletionResult", "Disambiguator", "PendingCompletion"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +88,32 @@ class BatchCompletionResult:
     def expressions(self) -> list[list[str]]:
         """Per-input completions rendered as expression strings."""
         return [result.expressions for result in self.results]
+
+
+class PendingCompletion:
+    """A cache miss between :meth:`Disambiguator.lookup` and its finish.
+
+    Holds what the search needs (the parsed ``expression``) and what
+    :meth:`Disambiguator.finish` needs (the cache ``key`` and the
+    ``complete`` span, still open).  Passing it to
+    :meth:`Disambiguator.complete` runs the search, on whatever thread
+    makes the call, under the ambient budget.  Used as a context
+    manager, it closes the span on exit, so the span ends on the
+    thread that opened it, whether the search answered or raised.
+    """
+
+    __slots__ = ("expression", "key", "span")
+
+    def __init__(self, expression: PathExpression, key: tuple, span) -> None:
+        self.expression = expression
+        self.key = key
+        self.span = span
+
+    def __enter__(self) -> "PendingCompletion":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.span.__exit__(*exc_info)
 
 
 class Disambiguator:
@@ -192,7 +224,7 @@ class Disambiguator:
 
     def complete(
         self,
-        expression: str | PathExpression,
+        expression: str | PathExpression | PendingCompletion,
         budget: Budget | None = None,
     ) -> CompletionResult:
         """Complete an expression given as text or AST.
@@ -211,7 +243,17 @@ class Disambiguator:
         (see the class docstring for the governance and degradation
         semantics); warm cache hits are served regardless of budget —
         the cache only ever holds exhaustive results.
+
+        A completion is three steps — :meth:`lookup`, the search, and
+        :meth:`finish` — and this call runs all three.  Given the
+        :class:`PendingCompletion` a miss's :meth:`lookup` returned, it
+        runs only the search, on the calling thread, and returns the
+        result for :meth:`finish`; the serving tier looks up and
+        finishes on its event loop and sends only this call to a worker.
         """
+        if isinstance(expression, PendingCompletion):
+            with get_tracer().adopt(expression.span):
+                return self._complete_governed(expression.expression, budget)
         slowlog = get_slowlog()
         if not slowlog.enabled or observing():
             # No log, or an outer entry point (a session ask, a serving
@@ -232,58 +274,96 @@ class Disambiguator:
         expression: str | PathExpression,
         budget: Budget | None = None,
     ) -> CompletionResult:
-        """:meth:`complete` minus the slow-log hook (fast/traced paths)."""
+        """:meth:`complete` minus the slow-log hook: the three steps inline."""
+        found = self.lookup(expression)
+        if not isinstance(found, PendingCompletion):
+            return found
+        with found:
+            return self.finish(
+                found, self._complete_governed(found.expression, budget)
+            )
+
+    def lookup(
+        self, expression: str | PathExpression
+    ) -> CompletionResult | PendingCompletion:
+        """Step one of a completion: parse, then one counted cache read.
+
+        Renders the normalized text once (the cache key, the span
+        attribute and the audit ``cache`` record share it) and writes
+        that audit record.  A hit is accounted and returned; a miss
+        returns a :class:`PendingCompletion` whose ``complete`` span is
+        still open.  Budgets are resolved only by the search, after a
+        miss, so a warm hit never touches one.
+        """
         tracer = get_tracer()
         if not tracer.enabled:
-            # Untraced fast path.  This method is the warm-cache hot
-            # loop (microseconds per call), where even no-op span
-            # plumbing is measurable; the traced branch below is the
-            # same logic with spans.  Budget resolution happens after
-            # the cache lookup so the warm path stays untouched.
+            # Untraced fast path.  This is the warm-cache hot loop
+            # (microseconds per call), where even no-op span plumbing
+            # is measurable; the traced branch below is the same logic
+            # with spans.
             if isinstance(expression, str):
                 expression = parse_path_expression(expression)
             text = str(expression)
             key = self._cache_key(text)
-            cached = self.compiled.cache.get(key)
-            audit = get_audit()
-            if audit.enabled:
-                self._audit_cache(audit, text, cached, key)
-            if cached is not None:
-                get_metrics().record_completion(cached.stats, cached=True)
-                return cached
-            result = self._complete_governed(expression, budget)
-            if result.exhausted:
-                self.compiled.cache.put(key, result)
-            get_metrics().record_completion(result.stats, cached=False)
-            return result
-        # The normalized text is rendered once and reused for the span
-        # attribute, the cache key, and the audit record.
-        text = str(expression)
-        with tracer.span("complete", expression=text, e=self.e) as span:
+            return self._account_lookup(
+                expression, text, key, self.compiled.cache.get(key), _NULL_SPAN
+            )
+        span = tracer.span("complete", expression=str(expression), e=self.e)
+        span.__enter__()
+        found = None
+        try:
             if isinstance(expression, str):
                 with tracer.span("parse"):
                     expression = parse_path_expression(expression)
-                text = str(expression)
-                span.set(expression=text)
+            text = str(expression)
+            span.set(expression=text)
             key = self._cache_key(text)
             with tracer.span("cache_lookup") as lookup:
                 cached = self.compiled.cache.get(key)
                 lookup.set(hit=cached is not None)
-            audit = get_audit()
-            if audit.enabled:
-                self._audit_cache(audit, text, cached, key)
-            if cached is not None:
-                span.set(cache="hit")
-                get_metrics().record_completion(cached.stats, cached=True)
-                return cached
-            result = self._complete_governed(expression, budget)
-            if result.exhausted:
-                self.compiled.cache.put(key, result)
-            else:
-                span.set(truncated=result.truncation_reason)
-            span.set(cache="miss", paths=len(result.paths))
-            get_metrics().record_completion(result.stats, cached=False)
-            return result
+            found = self._account_lookup(expression, text, key, cached, span)
+            return found
+        finally:
+            if not isinstance(found, PendingCompletion):
+                span.__exit__(None, None, None)
+
+    def _account_lookup(
+        self,
+        expression: PathExpression,
+        text: str,
+        key: tuple,
+        cached: CompletionResult | None,
+        span,
+    ) -> CompletionResult | PendingCompletion:
+        """The audit record and hit accounting of both :meth:`lookup`
+        branches: the hit itself, or the miss as a pending completion."""
+        audit = get_audit()
+        if audit.enabled:
+            self._audit_cache(audit, text, cached, key)
+        if cached is None:
+            return PendingCompletion(expression, key, span)
+        span.set(cache="hit")
+        get_metrics().record_completion(cached.stats, cached=True)
+        return cached
+
+    def finish(
+        self, pending: PendingCompletion, result: CompletionResult
+    ) -> CompletionResult:
+        """Step three of a completion: cache, account, annotate.
+
+        Stores an exhaustive ``result`` under the miss's key (partial
+        and degraded answers are never cached), counts the miss in the
+        ambient metrics, and annotates the still-open ``complete``
+        span, which closes when ``pending``'s with-block exits.
+        """
+        span = pending.span
+        if result.exhausted:
+            self.compiled.cache.put(pending.key, result)
+        else:
+            span.set(truncated=result.truncation_reason)
+        span.set(cache="miss", paths=len(result.paths))
+        get_metrics().record_completion(result.stats, cached=False)
+        return result
 
     def complete_batch(
         self,

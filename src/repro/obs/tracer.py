@@ -14,10 +14,12 @@ Two tracers implement the same duck-typed interface:
   instrumented code costs one context-variable read plus one method
   call per span when tracing is off.
 * :class:`RecordingTracer` — keeps the span trees (one root per
-  top-level region, per-thread nesting), renders them as an indented
-  tree (:meth:`RecordingTracer.render`), exports them as a JSON-lines
-  event log (:meth:`RecordingTracer.write_jsonl`), and aggregates a
-  per-span-name summary (:meth:`RecordingTracer.summary`).
+  top-level region, per-thread nesting; a thread can adopt a span
+  another thread keeps open, :meth:`RecordingTracer.adopt`), renders
+  them as an indented tree (:meth:`RecordingTracer.render`), exports
+  them as a JSON-lines event log (:meth:`RecordingTracer.write_jsonl`),
+  and aggregates a per-span-name summary
+  (:meth:`RecordingTracer.summary`).
 
 The active tracer lives in a :class:`contextvars.ContextVar`, so
 ``with use_tracer(RecordingTracer()):`` scopes tracing to one CLI
@@ -146,6 +148,9 @@ class NullTracer:
     def span(self, name: str, **attrs: object) -> _NullSpan:
         return _NULL_SPAN
 
+    def adopt(self, span: object) -> _NullSpan:
+        return _NULL_SPAN
+
 
 _NULL_TRACER = NullTracer()
 
@@ -169,6 +174,28 @@ class RecordingTracer:
 
     def span(self, name: str, **attrs: object) -> Span:
         return Span(self, name, attrs)
+
+    @contextmanager
+    def adopt(self, span: Span) -> Iterator[Span]:
+        """Nest this thread's spans under ``span``, opened on another thread.
+
+        A span that stays open across a thread hand-off (the serving
+        tier opens ``complete`` on its event loop and searches on a
+        worker) would otherwise see the worker's spans become new
+        roots.  Adoption pushes ``span`` onto this thread's stack for
+        the with-block and takes it off again without attaching it
+        anywhere: the span still closes, and joins its parent, on the
+        thread that opened it.
+        """
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield span
+        finally:
+            if stack and stack[-1] is span:
+                stack.pop()
+            elif span in stack:
+                stack.remove(span)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)

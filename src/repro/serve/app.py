@@ -4,8 +4,8 @@
 disambiguation engine, built so that *overload degrades service
 instead of collapsing it*:
 
-* **Bounded admission.**  At most ``queue_limit`` requests are admitted
-  but unanswered at any moment (executing plus queued for a worker).
+* **Bounded admission.**  At most ``queue_limit`` requests hold the
+  executor at any moment (searching plus queued for a worker).
   The request over the bound is *shed* immediately with ``429 Too Many
   Requests`` and a ``Retry-After`` hint — clients wait in their own
   retry loops, not in unbounded server memory, and the server never
@@ -29,11 +29,11 @@ instead of collapsing it*:
   best-so-far ``206`` within one budget-check stride.  No worker is
   ever killed mid-traversal; the executor never leaks a thread.
 
-* **Event-loop isolation.**  The synchronous engine only ever runs on
-  the bounded executor pool, inside a :func:`contextvars.copy_context`
-  copy, with the tier's metrics registry and slow-query log installed
-  as that request's ambient observability — requests cannot see each
-  other's context, and the engine never blocks the accept loop.
+* **One request pipeline.**  A request's scope, slow-log observation,
+  ``request`` span and cache lookup run on the event loop, so a warm
+  hit never leaves it.  Only a miss's search (or a ``/v1/query``) runs
+  on the bounded executor pool, in a :func:`contextvars.copy_context`
+  copy of the request's context: no search blocks the accept loop.
 
 * **Bounded memory.**  After every request that missed the cache the
   cross-tenant governor (:class:`~repro.serve.tenants.TenantRegistry`)
@@ -76,6 +76,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
+from repro.core.engine import PendingCompletion
 from repro.errors import (
     BudgetExceededError,
     InjectedFaultError,
@@ -196,7 +197,7 @@ class ServingTier:
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
-        #: Admitted-but-unanswered requests; mutated only on the loop
+        #: Requests holding the executor; mutated only on the loop
         #: thread, so the admission check needs no lock.
         self._pending = 0
         self._draining = False
@@ -476,8 +477,8 @@ class ServingTier:
         The request's identity is resolved here — an inbound
         ``X-Request-Id`` honoured after sanitation, a fresh ID minted
         otherwise — installed as the ambient :class:`RequestContext`
-        (the executor's ``copy_context`` carries it into the worker
-        job), stamped into the response header, and recorded with the
+        (the executor's context copy carries it to a miss's search),
+        stamped into the response header, and recorded with the
         outcome in the access log and SLO windows.
         """
         started = time.monotonic()
@@ -639,12 +640,8 @@ class ServingTier:
                 ]
             }
             return 200, payload, "application/json", None
-        build_job = (
-            self._build_complete_job
-            if path == "/v1/complete"
-            else self._build_query_job
-        )
-        status, payload, extra = await self._admit(request, build_job)
+        handler = self._complete if path == "/v1/complete" else self._query
+        status, payload, extra = await self._admit(request, handler)
         return status, payload, "application/json", extra
 
     def _health_payload(self) -> dict:
@@ -715,9 +712,15 @@ class ServingTier:
     # -- admission and execution --------------------------------------
 
     async def _admit(
-        self, request: Request, build_job
+        self, request: Request, handler
     ) -> tuple[int, dict, dict[str, str] | None]:
-        """Load-shed or run ``build_job(request)()`` on the pool."""
+        """Load-shed, or answer with ``await handler(request)``.
+
+        The drain and shed checks come first for every POST.  The
+        handler runs on the event loop; only its :meth:`_offload` call
+        (a cache miss's search, or a whole ``/v1/query``) holds an
+        admission slot, so a warm hit never occupies one.
+        """
         if self._draining:
             assert self._drain_hard_at is not None
             remaining = max(0.0, self._drain_hard_at - time.monotonic())
@@ -737,24 +740,26 @@ class ServingTier:
                 },
                 {"Retry-After": str(self.config.retry_after_s)},
             )
-        # Parse on the loop thread (cheap, fails fast with 400) …
-        job = build_job(request)
-        # … run the engine on the pool in an isolated context copy.
+        status, payload = await handler(request)
+        return status, payload, None
+
+    async def _offload(self, call, *args):
+        """Run ``call(*args)`` on the pool in a copy of the request's
+        context, holding one admission slot (which :meth:`drain`
+        waits on) until it returns."""
         assert self._loop is not None and self._idle is not None
         self._pending += 1
         self._idle.clear()
         self.metrics.gauge("serve.pending").set(float(self._pending))
-        context = contextvars.copy_context()
         try:
-            status, payload = await self._loop.run_in_executor(
-                self._pool, context.run, job
+            return await self._loop.run_in_executor(
+                self._pool, contextvars.copy_context().run, call, *args
             )
         finally:
             self._pending -= 1
             self.metrics.gauge("serve.pending").set(float(self._pending))
             if self._pending == 0:
                 self._idle.set()
-        return status, payload, None
 
     def _resolve_tenant(self, payload: dict):
         name = payload.get("tenant")
@@ -797,14 +802,15 @@ class ServingTier:
 
     @contextlib.contextmanager
     def _request_scope(self, kind: str, query: str, **attrs):
-        """Worker-side ambient scope for one admitted request.
+        """The ambient scope of one admitted request, on the event loop.
 
         Installs the tier's metrics registry and slow log, a fresh
         :class:`RecordingTracer` when the head sampler picked this
         request, and opens the slow-log observation (stamped with the
         ambient request ID) plus the ``request`` root span every
-        retained trace hangs from.  Sampled observations are promoted
-        so the slow log keeps them even when fast and healthy.
+        retained trace hangs from; yields that span, which work
+        offloaded to the pool adopts.  Sampled observations are
+        promoted so the slow log keeps them even when fast and healthy.
         """
         context = get_request()
         request_id = context.request_id if context is not None else None
@@ -820,10 +826,10 @@ class ServingTier:
                     obs.promote(RETAINED_SAMPLED)
                 with get_tracer().span(
                     "request", kind=kind, request_id=request_id or ""
-                ):
-                    yield obs
+                ) as span:
+                    yield obs, span
 
-    def _build_complete_job(self, request: Request):
+    async def _complete(self, request: Request) -> tuple[int, dict]:
         payload = json_body(request)
         expression = payload.get("expression")
         if not isinstance(expression, str) or not expression.strip():
@@ -833,46 +839,45 @@ class ServingTier:
             raise HttpError(400, "'e' must be a positive integer")
         tenant = self._resolve_tenant(payload)
         budget = self._request_budget(request)
+        cache = tenant.compiled.cache
+        misses_before = cache.misses
+        engine = tenant.engine(e)
+        scope = self._request_scope(
+            "serve.complete", expression, e=e, tenant=tenant.name
+        )
+        with scope as (obs, _), use_budget(budget):
+            result = engine.lookup(expression)
+            hit = not isinstance(result, PendingCompletion)
+            if not hit:
+                with result as pending:
+                    result = engine.finish(
+                        pending, await self._offload(engine.complete, pending)
+                    )
+            obs.record_result(result)
+        self._govern(tenant, cache, misses_before)
+        body = {
+            "tenant": tenant.name,
+            "expression": expression,
+            "e": e,
+            "paths": [str(path) for path in result.paths],
+            "labels": [str(label) for label in result.labels],
+            "exhausted": result.exhausted,
+            "stats": {
+                "recursive_calls": result.stats.recursive_calls,
+                # This request's own lookup.  A cached result carries
+                # the stats of the search that produced it, and the
+                # artifact's counters move with concurrent requests.
+                "cache_hits": int(hit),
+                "cache_misses": int(not hit),
+                "budget_trips": result.stats.budget_trips,
+                "elapsed_ms": round(result.stats.elapsed_seconds * 1000.0, 3),
+            },
+        }
+        if not result.exhausted:
+            body["truncation_reason"] = result.truncation_reason
+        return (200 if result.exhausted else 206), body
 
-        def job() -> tuple[int, dict]:
-            # A cache-hit result carries the *original* traversal's
-            # stats; the per-request hit/miss picture is the artifact
-            # counters' delta across this completion.
-            cache = tenant.compiled.cache
-            hits_before = cache.hits
-            misses_before = cache.misses
-            with self._request_scope(
-                "serve.complete", expression, e=e, tenant=tenant.name
-            ) as obs:
-                with use_budget(budget):
-                    result = tenant.engine(e).complete(expression)
-                obs.record_result(result)
-            self._govern(tenant, cache, misses_before)
-            status = 200 if result.exhausted else 206
-            body = {
-                "tenant": tenant.name,
-                "expression": expression,
-                "e": e,
-                "paths": [str(path) for path in result.paths],
-                "labels": [str(label) for label in result.labels],
-                "exhausted": result.exhausted,
-                "stats": {
-                    "recursive_calls": result.stats.recursive_calls,
-                    "cache_hits": cache.hits - hits_before,
-                    "cache_misses": cache.misses - misses_before,
-                    "budget_trips": result.stats.budget_trips,
-                    "elapsed_ms": round(
-                        result.stats.elapsed_seconds * 1000.0, 3
-                    ),
-                },
-            }
-            if not result.exhausted:
-                body["truncation_reason"] = result.truncation_reason
-            return status, body
-
-        return job
-
-    def _build_query_job(self, request: Request):
+    async def _query(self, request: Request) -> tuple[int, dict]:
         payload = json_body(request)
         text = payload.get("query")
         if not isinstance(text, str) or not text.strip():
@@ -889,26 +894,21 @@ class ServingTier:
             )
         budget = self._request_budget(request)
 
-        def job() -> tuple[int, dict]:
-            cache = tenant.compiled.cache
-            misses_before = cache.misses
-            with self._request_scope(
-                "serve.query", text, tenant=tenant.name
-            ):
-                with use_budget(budget):
-                    result = run_query(
-                        tenant.database,
-                        text,
-                        engine=tenant.engine(1),
-                        jobs=jobs,
-                    )
-            self._govern(tenant, cache, misses_before)
-            body = {
-                "tenant": tenant.name,
-                "query": text,
-                "completions": result.completions,
-                "values": sorted(result.values, key=repr),
-            }
-            return 200, body
+        def run(span):
+            with get_tracer().adopt(span):
+                return run_query(
+                    tenant.database, text, engine=tenant.engine(1), jobs=jobs
+                )
 
-        return job
+        cache = tenant.compiled.cache
+        misses_before = cache.misses
+        scope = self._request_scope("serve.query", text, tenant=tenant.name)
+        with scope as (_, span), use_budget(budget):
+            result = await self._offload(run, span)
+        self._govern(tenant, cache, misses_before)
+        return 200, {
+            "tenant": tenant.name,
+            "query": text,
+            "completions": result.completions,
+            "values": sorted(result.values, key=repr),
+        }

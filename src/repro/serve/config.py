@@ -37,13 +37,17 @@ class ServeConfig:
     host, port:
         Bind address; port ``0`` picks an ephemeral port (tests).
     queue_limit:
-        Bound on requests admitted but not yet answered (queued plus
-        executing).  The request over the bound is shed with ``429``
-        and ``Retry-After`` — the queue never grows without bound.
+        Bound on requests holding the executor (queued plus searching):
+        cache misses and ``/v1/query`` requests.  The request over the
+        bound is shed with ``429`` and ``Retry-After`` — the queue never
+        grows without bound.  A warm hit never holds the executor, but
+        is shed like any other request while the bound is reached.
     workers:
-        Threads in the executor pool running the synchronous engine;
-        also the true concurrency of completions.  Admitted requests
-        beyond this wait in the (bounded) queue.
+        Threads in the executor pool running cache misses' searches and
+        ``/v1/query`` evaluations; also the true concurrency of
+        searches.  A warm hit is answered on the event loop and never
+        uses a worker.  Offloaded work beyond this waits in the
+        (bounded) queue.
     executor:
         Worker-pool backend for *boot-time prewarm* fan-out:
         ``"thread"`` (default) or ``"process"`` (shards cold prewarm

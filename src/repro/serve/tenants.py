@@ -28,6 +28,7 @@ request.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 
 from repro.core.compiled import CompiledSchema, compile_schema
@@ -44,6 +45,12 @@ __all__ = [
     "UnknownTenantError",
     "prewarm_tenant",
 ]
+
+#: Bound on the memoized engines per tenant, one per E.  E comes from
+#: the request, so an unbounded memo would let clients grow server
+#: memory one engine per distinct E, unseen by the memory governor;
+#: past the bound the least recently used engine is dropped.
+ENGINE_MEMO_SIZE = 8
 
 
 class UnknownTenantError(ReproError):
@@ -70,7 +77,7 @@ class Tenant:
         #: Monotonic touch sequence assigned by the registry; the
         #: cross-tenant LRU victim is the smallest value.
         self.last_touch = 0
-        self._engines: dict[int, Disambiguator] = {}
+        self._engines: OrderedDict[int, Disambiguator] = OrderedDict()
         self._lock = threading.Lock()
 
     def engine(self, e: int = 1) -> Disambiguator:
@@ -81,7 +88,8 @@ class Tenant:
         injection in tests, artifact hot-repair in production), the
         memoized engine is stale and is rebuilt against the current
         graph.  Test doubles without a ``graph`` attribute are treated
-        as always-fresh.
+        as always-fresh.  At most :data:`ENGINE_MEMO_SIZE` engines stay
+        memoized (least recently used dropped first).
         """
         with self._lock:
             engine = self._engines.get(e)
@@ -92,6 +100,9 @@ class Tenant:
             if engine is None:
                 engine = Disambiguator(self.compiled, e=e)
                 self._engines[e] = engine
+                if len(self._engines) > ENGINE_MEMO_SIZE:
+                    self._engines.popitem(last=False)
+            self._engines.move_to_end(e)
             return engine
 
     def describe(self) -> dict:

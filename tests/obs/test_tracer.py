@@ -119,6 +119,120 @@ class TestRecordingTracer:
             assert root.children[0].name == f"{root.name}.child"
 
 
+class TestAdoption:
+    """A span opened on one thread and adopted on another: the serving
+    tier opens ``complete`` on its event loop and searches on a worker."""
+
+    @staticmethod
+    def _on_thread(target) -> None:
+        errors = []
+
+        def run():
+            try:
+                target()
+            except BaseException as error:  # surfaced on the test thread
+                errors.append(error)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_worker_spans_nest_under_the_adopted_span(self):
+        tracer = RecordingTracer()
+
+        def search():
+            with tracer.adopt(complete) as adopted:
+                assert adopted is complete
+                with tracer.span("traverse"):
+                    with tracer.span("expand"):
+                        pass
+                with tracer.span("rank"):
+                    pass
+            assert tracer._stack() == []
+
+        with tracer.span("request") as request:
+            with tracer.span("complete") as complete:
+                self._on_thread(search)
+                # Nothing became a root, and the adopted span is still
+                # open: adoption neither closes nor attaches it.
+                assert tracer.roots == []
+                assert complete.end == 0.0
+                assert request.children == []
+                assert [child.name for child in complete.children] == [
+                    "traverse",
+                    "rank",
+                ]
+                assert complete.children[0].children[0].name == "expand"
+        # Closing on the opening thread attaches it to its parent.
+        assert tracer.roots == [request]
+        assert request.children == [complete]
+        assert complete.end >= complete.children[-1].end
+        assert _tree(tracer) == [
+            (0, "request"),
+            (1, "complete"),
+            (2, "traverse"),
+            (3, "expand"),
+            (2, "rank"),
+        ]
+
+    def test_adopted_span_closed_before_the_worker_lets_go(self):
+        tracer = RecordingTracer()
+        opened = threading.Event()
+        closed = threading.Event()
+        spans = {}
+
+        def loop_side():
+            with tracer.span("request"):
+                with tracer.span("complete") as complete:
+                    spans["complete"] = complete
+                    opened.set()
+                    assert closed.wait(10.0)
+
+        def worker_side():
+            assert opened.wait(10.0)
+            with tracer.adopt(spans["complete"]):
+                with tracer.span("traverse"):
+                    pass
+                closed.set()
+                time.sleep(0.01)
+                with tracer.span("late"):
+                    pass
+            assert tracer._stack() == []
+
+        worker = threading.Thread(target=worker_side)
+        worker.start()
+        self._on_thread(loop_side)
+        worker.join(timeout=10.0)
+        assert [root.name for root in tracer.roots] == ["request"]
+        names = [child.name for child in spans["complete"].children]
+        assert names[0] == "traverse" and set(names) <= {"traverse", "late"}
+
+    def test_out_of_order_exits_are_still_tolerated(self):
+        tracer = RecordingTracer()
+        outer = tracer.span("outer").__enter__()
+        inner = tracer.span("inner").__enter__()
+        outer.__exit__(None, None, None)
+        inner.__exit__(None, None, None)
+        assert tracer._stack() == []
+        assert tracer.span_count == 2
+
+    def test_null_tracer_adoption_is_a_no_op(self):
+        tracer = NullTracer()
+        span = tracer.span("complete")
+        with tracer.adopt(span) as adopted:
+            assert adopted is span
+            with tracer.span("traverse"):
+                pass
+
+
+def _tree(tracer):
+    return [
+        (depth, span.name) for root in tracer.roots for span, depth in root.walk()
+    ]
+
+
 class TestExporters:
     def _sample(self):
         tracer = RecordingTracer()
