@@ -1,7 +1,8 @@
 """Bench PR — schema deltas: incremental maintenance vs rebuild-per-edit.
 
 Runs the scripted CUPID designer session (``repro.experiments.designer``)
-once per delta mode from equally cold global caches.  The contract under
+once per mode (evolve each edit vs compile the edited schema cold) from
+equally cold global caches.  The contract under
 test:
 
 * the incremental session is at least 5x faster end-to-end than

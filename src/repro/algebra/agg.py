@@ -68,15 +68,11 @@ class Aggregator:
             raise ValueError(f"E must be >= 1, got {e}")
         self.order = order if order is not None else DEFAULT_ORDER
         self.e = e
-        # map[c] = connectors strictly beaten by c; hot-loop view.
-        self._beats = self.order.beats_map()
-        # Bitmask twin: _beaten_by[i] has bit j set when connector j
-        # strictly beats connector i.  Lets the inner loop test "is this
-        # connector beaten by anything present" with one AND.
-        self._beaten_by = [0] * len(self._beats)
-        for winner, losers in self._beats.items():
-            for loser in losers:
-                self._beaten_by[loser.index] |= 1 << winner.index
+        # Bitmask view of the order: _beaten_by[i] has bit j set when
+        # connector j strictly beats connector i.  Lets the inner loop
+        # test "is this connector beaten by anything present" with one
+        # AND.  Shared per order (PartialOrder.defeat_masks).
+        self._beaten_by = list(self.order.defeat_masks())
 
     @property
     def beaten_by(self) -> list[int]:

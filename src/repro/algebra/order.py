@@ -65,6 +65,7 @@ class PartialOrder:
             if c1 is not c2 and better_fn(c1, c2)
         )
         self._content_key: str | None = None
+        self._defeat_masks: tuple[int, ...] | None = None
 
     def better(self, c1: Connector, c2: Connector) -> bool:
         """True if ``c1`` is strictly better (stronger) than ``c2``."""
@@ -117,6 +118,21 @@ class PartialOrder:
         for winner, loser in self._better:
             result[winner].add(loser)
         return {c: frozenset(losers) for c, losers in result.items()}
+
+    def defeat_masks(self) -> tuple[int, ...]:
+        """``masks[i]`` has bit ``j`` set when connector ``j`` strictly
+        beats connector ``i`` (by connector index).
+
+        Memoized like :meth:`content_key`: every
+        :class:`~repro.algebra.agg.Aggregator` over this order shares
+        one table, so a new search instance does not re-derive it.
+        """
+        if self._defeat_masks is None:
+            masks = [0] * len(ALL_CONNECTORS)
+            for winner, loser in self._better:
+                masks[loser.index] |= 1 << winner.index
+            self._defeat_masks = tuple(masks)
+        return self._defeat_masks
 
     def __repr__(self) -> str:
         return f"PartialOrder({self.name!r}, pairs={len(self._better)})"

@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("both", "incremental", "rebuild"),
         default="both",
-        help="delta mode(s) to run; 'both' also reports the speedup",
+        help="session mode(s) to run; 'both' also reports the speedup",
     )
     designer.add_argument(
         "-e", type=int, default=2, help="AGG* relaxation parameter (>=1)"

@@ -56,7 +56,7 @@ import functools
 import os
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 
 from repro.algebra.con_table import con_c
 from repro.algebra.connectors import ALL_CONNECTORS, Connector, PRIMARY_CONNECTORS
@@ -65,6 +65,7 @@ from repro.core.target import ClassTarget, RelationshipTarget, Target
 from repro.model.graph import SchemaGraph
 
 __all__ = [
+    "CLOSURE_CACHE_SIZE",
     "PRUNING_MODES",
     "SchemaClosure",
     "TargetTables",
@@ -78,6 +79,12 @@ PRUNING_MODES = ("closure", "none")
 #: Environment override consulted when no explicit mode is given — CI's
 #: unpruned matrix leg runs the whole suite with ``REPRO_PRUNING=none``.
 PRUNING_ENV_VAR = "REPRO_PRUNING"
+
+#: Bound on the closures :meth:`SchemaClosure.for_graph` and
+#: :meth:`SchemaClosure.evolved` keep by content, least recently used
+#: dropped first: every schema edit registers one, and an artifact keeps
+#: its own closure alive regardless.
+CLOSURE_CACHE_SIZE = 32
 
 #: Sentinel for "no suffix with this state exists" in the distance maps.
 _INF = 255
@@ -360,6 +367,12 @@ class TargetTables:
         self.dist = dist
 
 
+def _differs(old, new) -> bool:
+    """True when two edges of one ``(source, name)`` key are distinct
+    edges for the closure (retargeted or re-kinded)."""
+    return old.target != new.target or old.connector is not new.connector
+
+
 def _target_cache_key(target: Target) -> tuple[str, str] | None:
     """A stable content key for the two concrete target types.
 
@@ -389,7 +402,8 @@ class SchemaClosure:
     unchanged schema never pays the closure again.
     """
 
-    _cache: dict[str, "SchemaClosure"] = {}
+    #: Content cache, least recently used first (see CLOSURE_CACHE_SIZE).
+    _cache: OrderedDict[str, "SchemaClosure"] = OrderedDict()
     _cache_lock = threading.Lock()
 
     def __init__(self, graph: SchemaGraph) -> None:
@@ -401,6 +415,10 @@ class SchemaClosure:
         }
         self._reach: list[int] | None = None
         self._tables: dict[tuple[str, str], TargetTables] = {}
+        # Table repairs inherited from an ancestor closure and not yet
+        # asked for: key -> (ancestor table, chain of inserted edges).
+        # See evolved() and tables_for().
+        self._pending: dict[tuple[str, str], tuple[TargetTables, tuple]] = {}
         self._lock = threading.Lock()
         self.build_seconds = time.perf_counter() - started
 
@@ -427,13 +445,28 @@ class SchemaClosure:
     def for_graph(cls, graph: SchemaGraph) -> "SchemaClosure":
         """The closure for ``graph``, shared by content fingerprint."""
         key = graph.fingerprint()
-        with cls._cache_lock:
-            closure = cls._cache.get(key)
+        closure = cls._cached(key)
         if closure is not None:
             return closure
-        closure = cls(graph)
+        return cls._publish(key, cls(graph))
+
+    @classmethod
+    def _cached(cls, key: str) -> "SchemaClosure | None":
+        """The cached closure for ``key`` (marked recently used), or None."""
         with cls._cache_lock:
-            return cls._cache.setdefault(key, closure)
+            closure = cls._cache.get(key)
+            if closure is not None:
+                cls._cache.move_to_end(key)
+            return closure
+
+    @classmethod
+    def _publish(cls, key: str, closure: "SchemaClosure") -> "SchemaClosure":
+        """Cache ``closure`` unless a concurrent build won; evict LRU."""
+        with cls._cache_lock:
+            closure = cls._cache.setdefault(key, closure)
+            while len(cls._cache) > CLOSURE_CACHE_SIZE:
+                cls._cache.popitem(last=False)
+            return closure
 
     @classmethod
     def clear_cache(cls) -> None:
@@ -451,7 +484,10 @@ class SchemaClosure:
         The incremental path of the delta layer: instead of re-running
         all-pairs Warshall and rebuilding every per-target table, the
         old closure is repaired along the diff between the two traversal
-        views —
+        views.  The diff reads only the adjacency rows ``new_graph``
+        rebuilt (:meth:`SchemaGraph.evolved
+        <repro.model.graph.SchemaGraph.evolved>` shares every other row
+        by identity), plus the rows of added and removed classes.
 
         * **reachability** is maintained per edge: a deletion recomputes
           only the *affected region* (rows that reached a deleted edge's
@@ -462,9 +498,16 @@ class SchemaClosure:
           seeded from the inserted edges (distances only decrease under
           insertion, so re-running the 0/1-BFS from the new frontier
           over the kept ``dist`` array converges on exactly the
-          from-scratch fixpoint); a table a *deleted* edge participated
-          in is dropped and lazily rebuilt — deletions can raise bounds,
-          which seeded relaxation cannot express.
+          from-scratch fixpoint).  The repair waits for the first
+          search that asks for the table (:meth:`tables_for`); until
+          then the new closure holds only the ancestor table and a
+          chain of the inserted edges, which further insertion-only
+          edits extend by one link each — seeding once from every edge
+          inserted since the ancestor reaches the same fixpoint.  A
+          table a *deleted* edge participated in is dropped and lazily
+          rebuilt — deletions can raise bounds, which seeded relaxation
+          cannot express; deciding that reads the table's ``conns``, so
+          a deletion first brings a pending table up to date.
 
         Falls back to a full rebuild when the node-order assumption
         (survivors keep their relative order, new classes appended) does
@@ -473,37 +516,46 @@ class SchemaClosure:
         finds it.
         """
         key = new_graph.fingerprint()
-        with self._cache_lock:
-            cached = self._cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return cached
-        closure = self._evolve(new_graph)
-        with self._cache_lock:
-            return self._cache.setdefault(key, closure)
+        return self._publish(key, self._evolve(new_graph))
 
     def _evolve(self, new_graph: SchemaGraph) -> "SchemaClosure":
         from repro.obs.metrics import get_metrics
 
         started = time.perf_counter()
+        old_nodes = self.nodes
         new_nodes = tuple(new_graph.nodes())
-        new_set = set(new_nodes)
-        removed_classes = {name for name in self.nodes if name not in new_set}
-        survivors = [name for name in self.nodes if name in new_set]
-        appended = [name for name in new_nodes if name not in self.index]
-        if list(new_nodes) != survivors + appended:
-            # Node order drifted (e.g. a schema rebuilt from scratch
-            # rather than edited in place): positions are meaningless
-            # across the two views, so patching would be wrong.
-            return SchemaClosure(new_graph)
+        if new_nodes[: len(old_nodes)] == old_nodes:
+            removed_classes: set[str] = set()
+            if len(new_nodes) == len(old_nodes):
+                index = self.index
+            else:
+                index = dict(self.index)
+                for position in range(len(old_nodes), len(new_nodes)):
+                    index[new_nodes[position]] = position
+        else:
+            new_set = set(new_nodes)
+            removed_classes = {name for name in old_nodes if name not in new_set}
+            survivors = [name for name in old_nodes if name in new_set]
+            appended = [name for name in new_nodes if name not in self.index]
+            if list(new_nodes) != survivors + appended:
+                # Node order drifted (e.g. a schema rebuilt from scratch
+                # rather than edited in place): positions are meaningless
+                # across the two views, so patching would be wrong.
+                return SchemaClosure(new_graph)
+            index = {name: pos for pos, name in enumerate(new_nodes)}
 
-        removed_edges, added_edges = self._edge_diff(new_graph, new_nodes)
+        removed_edges, added_edges = self._edge_diff(new_graph)
 
         clone = SchemaClosure.__new__(SchemaClosure)
         clone.graph = new_graph
         clone.nodes = new_nodes
-        clone.index = {name: pos for pos, name in enumerate(new_nodes)}
+        clone.index = index
         clone._lock = threading.Lock()
-        repairs = 0
+        clone._tables = {}
+        clone._pending = {}
 
         old_reach = self._reach
         if old_reach is None:
@@ -516,62 +568,71 @@ class SchemaClosure:
                 added_edges,
                 removed_classes,
             )
-            repairs += 1
+            get_metrics().counter("closure.incremental_repairs").inc()
 
-        clone._tables = {}
-        with self._lock:
-            old_tables = dict(self._tables)
         if not removed_classes:
             # Class removals reorder every node index the tables are
             # built around; cheaper to rebuild lazily than to remap.
-            for table_key, tables in old_tables.items():
-                target = _target_from_cache_key(table_key)
-                if self._table_survives_removals(
-                    tables, target, removed_edges
-                ):
-                    clone._tables[table_key] = clone._repair_tables(
-                        tables, target, added_edges
+            with self._lock:
+                tables = dict(self._tables)
+                pending = {
+                    key: entry
+                    for key, entry in self._pending.items()
+                    if key not in tables
+                }
+            if removed_edges:
+                for table_key in pending:
+                    target = _target_from_cache_key(table_key)
+                    tables[table_key] = self.tables_for(target)
+                pending = {}
+                tables = {
+                    table_key: table
+                    for table_key, table in tables.items()
+                    if self._table_survives_removals(
+                        table, _target_from_cache_key(table_key), removed_edges
                     )
-                    repairs += 1
+                }
+            # One link per edit and parent chain, shared by every table
+            # it extends: a pending repair holds O(delta), not a copy.
+            edges = tuple(added_edges)
+            fresh = (edges, None)
+            extended: dict[int, tuple] = {}
+            for table_key, table in tables.items():
+                clone._pending[table_key] = (table, fresh)
+            for table_key, (base, chain) in pending.items():
+                link = extended.get(id(chain))
+                if link is None:
+                    link = extended[id(chain)] = (edges, chain)
+                clone._pending[table_key] = (base, link)
 
         clone.build_seconds = time.perf_counter() - started
-        if repairs:
-            get_metrics().counter("closure.incremental_repairs").inc(repairs)
         return clone
 
-    def _edge_diff(
-        self, new_graph: SchemaGraph, new_nodes: tuple[str, ...]
-    ) -> tuple[list, list]:
+    def _edge_diff(self, new_graph: SchemaGraph) -> tuple[list, list]:
         """Removed/added edges between the two traversal views.
 
-        Edges are keyed by relationship identity ``(source, name)``; a
-        retargeted or re-kinded key counts as remove + add, mirroring
+        Only rows that differ by identity are compared
+        (:meth:`SchemaGraph.rows_changed_from
+        <repro.model.graph.SchemaGraph.rows_changed_from>`): a row shared
+        with this closure's graph holds the very same edges.  Edges are
+        keyed by relationship identity ``(source, name)``; a retargeted
+        or re-kinded key counts as remove + add, mirroring
         :meth:`SchemaDelta.diff <repro.model.delta.SchemaDelta.diff>`.
         """
-
-        def edge_map(graph: SchemaGraph, nodes: tuple[str, ...]) -> dict:
-            return {
-                (edge.source, edge.name): edge
-                for name in nodes
-                for edge in graph.edges_from(name)
-            }
-
-        old_edges = edge_map(self.graph, self.nodes)
-        new_edges = edge_map(new_graph, new_nodes)
-
-        def differs(a, b) -> bool:
-            return a.target != b.target or a.connector is not b.connector
-
-        removed = [
-            edge
-            for key, edge in old_edges.items()
-            if key not in new_edges or differs(edge, new_edges[key])
-        ]
-        added = [
-            edge
-            for key, edge in new_edges.items()
-            if key not in old_edges or differs(edge, old_edges[key])
-        ]
+        old_graph = self.graph
+        removed: list = []
+        added: list = []
+        for name in new_graph.rows_changed_from(old_graph):
+            old_edges = {edge.name: edge for edge in old_graph.edges_from(name)}
+            new_edges = {edge.name: edge for edge in new_graph.edges_from(name)}
+            for edge_name, edge in old_edges.items():
+                other = new_edges.get(edge_name)
+                if other is None or _differs(edge, other):
+                    removed.append(edge)
+            for edge_name, edge in new_edges.items():
+                other = old_edges.get(edge_name)
+                if other is None or _differs(edge, other):
+                    added.append(edge)
         return removed, added
 
     def _patched_reach(
@@ -598,15 +659,20 @@ class SchemaClosure:
             removed_src_mask = 0
             for edge in removed_edges:
                 removed_src_mask |= 1 << old_index[edge.source]
-            # Adjacency of the mid graph: old view minus deleted edges.
-            mid_adjacency = [
-                [
-                    old_index[edge.target]
-                    for edge in self.graph.edges_from(name)
-                    if (edge.source, edge.name) not in removed_keys
-                ]
-                for name in self.nodes
-            ]
+            # Adjacency of the mid graph (old view minus deleted edges),
+            # derived only for the affected rows the DFS below enters.
+            mid_adjacency: dict[int, list[int]] = {}
+
+            def mid_children(position: int) -> list[int]:
+                children = mid_adjacency.get(position)
+                if children is None:
+                    children = mid_adjacency[position] = [
+                        old_index[edge.target]
+                        for edge in self.graph.edges_from(self.nodes[position])
+                        if (edge.source, edge.name) not in removed_keys
+                    ]
+                return children
+
             # A row is affected only if it reached a deleted edge's
             # source: any lost path must cross a deleted edge, and the
             # row reaches that edge's source along the path's prefix.
@@ -628,7 +694,7 @@ class SchemaClosure:
                 stack = [position]
                 while stack:
                     current = stack.pop()
-                    for child in mid_adjacency[current]:
+                    for child in mid_children(current):
                         bit = 1 << child
                         if visited & bit:
                             continue
@@ -698,7 +764,7 @@ class SchemaClosure:
         self, tables: TargetTables, target: Target, added_edges: list
     ) -> TargetTables:
         """Repair a surviving table for inserted edges (``self`` here is
-        the *evolved* closure; ``tables`` comes from its predecessor).
+        the *evolved* closure; ``tables`` comes from an ancestor).
 
         Distances only decrease under insertion, so seeding the standard
         relaxation worklist from the new edges over the kept ``dist``
@@ -810,6 +876,11 @@ class SchemaClosure:
     def tables_for(self, target: Target) -> TargetTables | None:
         """The bound tables for ``target`` (memoized by content key).
 
+        A table inherited from an ancestor closure (see :meth:`evolved`)
+        is repaired here, when a search first asks for it.  Concurrent
+        first uses may both compute it; the first result published wins
+        and every caller gets that one.
+
         Returns ``None`` for target types without a stable content key;
         the search then runs without closure pruning for that query.
         """
@@ -819,9 +890,35 @@ class SchemaClosure:
         tables = self._tables.get(key)
         if tables is not None:
             return tables
-        tables = self._build_tables(target)
+        pending = self._pending.get(key)
+        if pending is None:
+            tables = self._build_tables(target)
+        else:
+            tables = self._materialize(target, *pending)
         with self._lock:
-            return self._tables.setdefault(key, tables)
+            tables = self._tables.setdefault(key, tables)
+            self._pending.pop(key, None)
+        return tables
+
+    def _materialize(
+        self, target: Target, base: TargetTables, chain: tuple
+    ) -> TargetTables:
+        """Repair an ancestor's table for every edge inserted since.
+
+        ``chain`` links one tuple of inserted edges per edit back to the
+        ancestor.  Seeding the relaxation from all of them at once
+        reaches the same fixpoint as repairing edit by edit (updates are
+        order-insensitive strict decreases).
+        """
+        from repro.obs.metrics import get_metrics
+
+        added: list = []
+        while chain is not None:
+            edges, chain = chain
+            added.extend(edges)
+        tables = self._repair_tables(base, target, added)
+        get_metrics().counter("closure.incremental_repairs").inc()
+        return tables
 
     def _build_tables(self, target: Target) -> TargetTables:
         """Backward 0/1-BFS over (node, composed connector, first) states."""

@@ -25,7 +25,8 @@ never leak across schema mutations, order variants, E sweeps, ablation
 settings, or knowledge declarations.
 
 Compiles themselves are memoized: :func:`compile_schema` keeps a
-module-level registry keyed by the same content triple, so
+module-level registry (an LRU bounded by :data:`REGISTRY_SIZE`) keyed
+by the same content triple, so
 ``Disambiguator(schema)`` constructed twice over an unchanged schema
 reuses one artifact (and therefore one warm cache).  Mutating a schema
 changes its fingerprint, which both misses the registry (a fresh
@@ -37,7 +38,6 @@ registry explicitly.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -60,13 +60,12 @@ from repro.resilience.budget import Budget, BudgetMeter
 __all__ = [
     "CompiledSchema",
     "CompletionCache",
-    "DELTA_MODES",
+    "REGISTRY_SIZE",
     "compile_schema",
     "domain_knowledge_key",
     "estimate_result_bytes",
     "invalidate",
     "registry_size",
-    "resolve_delta_mode",
 ]
 
 #: Default bound on the number of cached completion results per artifact.
@@ -78,6 +77,13 @@ DEFAULT_CACHE_SIZE = 1024
 #: the bound the least recently used searcher is dropped (rebuilding
 #: one costs ~60 us, and engines keep the searcher they were built with).
 SEARCHER_MEMO_SIZE = 16
+
+#: Bound on the artifacts the compile registry keeps, least recently
+#: compiled or looked up dropped first.  Every ``evolve`` registers a new
+#: artifact, so a long-lived editing process would otherwise keep each
+#: superseded artifact (its cache, searchers and closure) forever.  An
+#: engine or tenant holding an artifact keeps it alive regardless.
+REGISTRY_SIZE = 32
 
 
 def estimate_result_bytes(value: CompletionResult) -> int:
@@ -104,30 +110,6 @@ def estimate_result_bytes(value: CompletionResult) -> int:
     size += 64 * len(getattr(value, "labels", ()))
     size += 48 * len(getattr(value, "support", ()))
     return size
-
-#: Accepted values of the ``delta`` knob of :meth:`CompiledSchema.evolve`.
-DELTA_MODES = ("incremental", "rebuild")
-
-#: Environment override consulted when no explicit mode is given — CI's
-#: rebuild matrix leg runs the whole suite with ``REPRO_DELTA=rebuild``.
-DELTA_ENV_VAR = "REPRO_DELTA"
-
-
-def resolve_delta_mode(mode: str | None) -> str:
-    """Resolve the delta-application knob: explicit value, else the
-    ``REPRO_DELTA`` environment override, else ``"incremental"``.
-
-    ``"incremental"`` patches the artifact along the delta;
-    ``"rebuild"`` compiles the post-edit schema from scratch (the
-    honest baseline the A/B tests and the designer-session benchmark
-    compare against).  Both produce byte-identical completions.
-    """
-    if mode is None:
-        mode = os.environ.get(DELTA_ENV_VAR) or "incremental"
-    if mode not in DELTA_MODES:
-        raise ValueError(f"delta mode must be one of {DELTA_MODES}, got {mode!r}")
-    return mode
-
 
 def domain_knowledge_key(knowledge: DomainKnowledge) -> str:
     """A stable digest of a domain-knowledge declaration's content."""
@@ -287,9 +269,12 @@ class CompletionCache:
         """
         carried = evicted = 0
         with other._lock:
-            entries = list(other._data.items())
+            entries = [
+                (key, value, other._entry_bytes.get(key))
+                for key, value in other._data.items()
+            ]
         with self._lock:
-            for key, value in entries:
+            for key, value, size in entries:
                 support = getattr(value, "support", frozenset())
                 if (
                     support
@@ -300,7 +285,8 @@ class CompletionCache:
                     new_key = (new_fingerprint,) + key[1:]
                     self._data[new_key] = value
                     self._carried.add(new_key)
-                    size = estimate_result_bytes(value)
+                    if size is None:
+                        size = estimate_result_bytes(value)
                     self._bytes += size - self._entry_bytes.get(new_key, 0)
                     self._entry_bytes[new_key] = size
                     carried += 1
@@ -392,6 +378,9 @@ class CompiledSchema:
             #: Fingerprints of the ancestor artifacts this one was
             #: evolved from, oldest first; empty for cold compiles.
             self.lineage: tuple[str, ...] = ()
+            # Whether the schema is known to be Isa-acyclic: a cold
+            # compile never checks, an evolve proves it (see evolve).
+            self._isa_acyclic = False
             self.compile_seconds = time.perf_counter() - started
             span.set(
                 fingerprint=self.fingerprint[:16],
@@ -420,54 +409,55 @@ class CompiledSchema:
     def evolve(
         self,
         delta,
-        mode: str | None = None,
         cache_size: int | None = None,
     ) -> "CompiledSchema":
         """A new artifact for this schema edited by ``delta``.
 
-        The delta (:class:`~repro.model.delta.SchemaDelta` or a single
-        command) is applied to a *copy* of the schema — this artifact
-        stays immutable and registered — and the copy is validated
-        (Isa acyclicity) before any compiled state is touched.
+        The delta (a :class:`~repro.model.delta.SchemaDelta`) is applied
+        to a *copy* of the schema — this artifact stays immutable and
+        registered — and the copy is checked for Isa cycles before any
+        compiled state is touched.  The check is scoped to the delta:
+        only an added Isa edge can close a cycle, so once this
+        artifact's schema is known acyclic only the delta's Isa edges
+        are checked.  A cold compile never checked acyclicity, so the
+        first evolve from one runs the full check once and the evolved
+        artifacts carry the proof along their lineage.
 
-        ``mode="incremental"`` (the default; overridable via the
-        ``REPRO_DELTA`` environment variable) patches the compiled
-        pieces along the delta instead of rebuilding: the frozen
-        adjacency is patched structurally (untouched rows shared), the
-        order closure and caution sets are reused outright (they depend
-        only on the partial order), the label closure is maintained per
-        edge (:meth:`SchemaClosure.evolved
-        <repro.core.closure.SchemaClosure.evolved>`), and the completion
+        The compiled pieces are patched along the delta instead of
+        rebuilt: the fingerprint is re-hashed from the copy's patched
+        records, the frozen adjacency is patched structurally
+        (untouched rows shared), the order closure and caution sets are
+        reused outright (they depend only on the partial order), the
+        label closure is maintained per edge (:meth:`SchemaClosure.evolved
+        <repro.core.closure.SchemaClosure.evolved>`, whose table repairs
+        wait for the first search that reads them), and the completion
         cache carries every entry whose support set the delta provably
-        cannot affect.  ``mode="rebuild"`` compiles the edited schema
-        cold — the honest baseline; both modes produce byte-identical
-        completions.
+        cannot affect.  Completions are byte-identical to a cold compile
+        of the edited schema.
 
-        Either way the evolved artifact registers under its new
-        fingerprint with this artifact's fingerprint appended to its
-        :attr:`lineage`, so repeated edits form a traceable chain.
+        The evolved artifact registers under its new fingerprint with
+        this artifact's fingerprint appended to its :attr:`lineage`, so
+        repeated edits form a traceable chain; an edit back to content
+        that is still registered returns that artifact.
         """
-        mode = resolve_delta_mode(mode)
         size = cache_size if cache_size is not None else self.cache.maxsize
-        with get_tracer().span(
-            "delta_apply", schema=self.schema.name, mode=mode
-        ) as span:
+        with get_tracer().span("delta_apply", schema=self.schema.name) as span:
             new_schema = self.schema.copy()
             new_schema.apply(delta)
-            new_schema.validate()
-            touched = delta.touched_classes()
-            if mode == "rebuild":
-                evolved = CompiledSchema(
-                    new_schema,
-                    order=self.order,
-                    domain_knowledge=self.domain_knowledge,
-                    cache_size=size,
-                )
+            if self._isa_acyclic and not self.is_stale():
+                new_schema.check_isa_additions(delta.added_isa_edges())
             else:
+                new_schema.validate()
+            touched = delta.touched_classes()
+            key = (new_schema.fingerprint(), self.order_key, self.knowledge_key)
+            with _REGISTRY_LOCK:
+                evolved = _registry_get(key)
+            if evolved is None:
                 evolved = self._evolve_incremental(
                     new_schema, touched, delta.eviction_frontier(), size
                 )
-            evolved.lineage = self.lineage + (self.fingerprint,)
+                evolved.lineage = self.lineage + (self.fingerprint,)
+            evolved._isa_acyclic = True
             span.set(
                 commands=len(delta),
                 touched=len(touched),
@@ -476,8 +466,8 @@ class CompiledSchema:
             )
         get_metrics().counter("delta.applied").inc()
         with _REGISTRY_LOCK:
-            existing = _REGISTRY.get(evolved.key)
-            if existing is not None and not existing.is_stale():
+            existing = _registry_get(evolved.key)
+            if existing is not None:
                 return existing
             _registry_put(evolved)
         return evolved
@@ -669,7 +659,8 @@ class CompiledSchema:
 # The module-level compile registry
 # ----------------------------------------------------------------------
 
-_REGISTRY: dict[tuple[str, str, str], CompiledSchema] = {}
+#: Least recently used first; bounded by :data:`REGISTRY_SIZE`.
+_REGISTRY: OrderedDict[tuple[str, str, str], CompiledSchema] = OrderedDict()
 #: Secondary index: fingerprint -> the registry keys carrying it.  Kept
 #: in lockstep with ``_REGISTRY`` (same lock) so fingerprint-scoped
 #: operations — :func:`invalidate`, eager stale eviction — are O(matches)
@@ -678,10 +669,32 @@ _REGISTRY_BY_FP: dict[str, set[tuple[str, str, str]]] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
+def _registry_get(key: tuple[str, str, str]) -> CompiledSchema | None:
+    """The live artifact under ``key``, marked recently used, or None
+    (under ``_REGISTRY_LOCK``, held by the caller).
+
+    A registered artifact whose schema mutated after compilation can
+    never be served again, so it is evicted here rather than left to
+    accumulate until the next full :func:`invalidate`.
+    """
+    compiled = _REGISTRY.get(key)
+    if compiled is None:
+        return None
+    if compiled.is_stale():
+        _registry_discard(key)
+        return None
+    _REGISTRY.move_to_end(key)
+    return compiled
+
+
 def _registry_put(compiled: CompiledSchema) -> None:
-    """Insert under ``_REGISTRY_LOCK`` (held by the caller)."""
+    """Insert under ``_REGISTRY_LOCK`` (held by the caller), dropping the
+    least recently used artifacts beyond :data:`REGISTRY_SIZE`."""
     _REGISTRY[compiled.key] = compiled
+    _REGISTRY.move_to_end(compiled.key)
     _REGISTRY_BY_FP.setdefault(compiled.fingerprint, set()).add(compiled.key)
+    while len(_REGISTRY) > REGISTRY_SIZE:
+        _registry_discard(next(iter(_REGISTRY)))
 
 
 def _registry_discard(key: tuple[str, str, str]) -> None:
@@ -723,15 +736,9 @@ def compile_schema(
         domain_knowledge_key(knowledge),
     )
     with _REGISTRY_LOCK:
-        compiled = _REGISTRY.get(key)
-        if compiled is not None:
-            if not compiled.is_stale():
-                return compiled
-            # Eager stale-artifact eviction: the registered artifact's
-            # schema mutated after compilation, so it can never be
-            # served again — drop it now rather than letting dead
-            # entries accumulate until the next full invalidate().
-            _registry_discard(key)
+        compiled = _registry_get(key)
+    if compiled is not None:
+        return compiled
     # Compile outside the lock (brute-forcing caution sets and freezing
     # adjacency can take a while on large schemas); last writer wins.
     compiled = CompiledSchema(
@@ -741,8 +748,8 @@ def compile_schema(
         cache_size=cache_size,
     )
     with _REGISTRY_LOCK:
-        existing = _REGISTRY.get(key)
-        if existing is not None and not existing.is_stale():
+        existing = _registry_get(key)
+        if existing is not None:
             return existing  # a concurrent compile won the race
         _registry_put(compiled)
         return compiled

@@ -577,19 +577,18 @@ class Disambiguator:
             pruning=self.pruning,
         )
 
-    def evolved(self, delta, mode: str | None = None) -> "Disambiguator":
+    def evolved(self, delta) -> "Disambiguator":
         """An engine over this schema edited by ``delta``.
 
         Thin wrapper over :meth:`CompiledSchema.evolve
         <repro.core.compiled.CompiledSchema.evolve>`: the evolved
         artifact keeps every compiled piece the delta cannot affect
-        (and, incrementally, the surviving completion-cache entries);
-        the returned engine carries this one's E, ablation flags, depth
+        (and the surviving completion-cache entries); the returned engine carries this one's E, ablation flags, depth
         bound, budget, and pruning mode.  This engine and its schema
         are untouched — sessions re-point to the returned engine.
         """
         return Disambiguator(
-            self.compiled.evolve(delta, mode=mode),
+            self.compiled.evolve(delta),
             e=self.e,
             use_caution_sets=self.use_caution_sets,
             apply_inheritance_criterion=self.apply_inheritance_criterion,

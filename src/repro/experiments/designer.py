@@ -14,10 +14,11 @@ figure-workload queries between edits:
 * a mistake is made and reverted (``SchemaDelta.invert``), and a leftover
   is removed with a cascade.
 
-Running the same script in both delta modes (``incremental`` vs
-``rebuild``) isolates the value of incremental closure maintenance plus
-surgical cache invalidation against recompiling from scratch after every
-edit: the edits themselves get cheaper, and the queries after each edit
+Running the same script in both modes (``incremental``, which evolves
+the compiled artifact, vs ``rebuild``, which compiles the edited schema
+cold after every edit) isolates the value of incremental closure
+maintenance plus surgical cache invalidation against recompiling from
+scratch: the edits themselves get cheaper, and the queries after each edit
 stay warm instead of going cold.  ``benchmarks/bench_delta.py`` asserts
 the speedup; :func:`render_designer_session` reports one run.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "DesignerStep",
     "DesignerSessionResult",
     "cupid_designer_script",
+    "rebuild_engine",
     "run_designer_session",
     "render_designer_session",
 ]
@@ -168,8 +170,8 @@ def _cascade_remove_class(name: str) -> Callable[[Schema], SchemaDelta]:
 
 
 #: The validation sweep the designer re-runs after every edit — five of
-#: the figure-workload queries.  The sweep is where the two delta modes
-#: diverge: after a module-local edit the incremental path serves all
+#: the figure-workload queries.  The sweep is where the two session
+#: modes diverge: after a module-local edit the incremental path serves all
 #: five from the carried completion cache, while rebuild-per-edit starts
 #: from an empty cache every time.
 VALIDATION_SWEEP = (
@@ -251,20 +253,49 @@ def cupid_designer_script() -> list:
     return script
 
 
+def rebuild_engine(engine: Disambiguator, delta: SchemaDelta) -> Disambiguator:
+    """The rebuild baseline of an edit: the edited schema, validated in
+    full and compiled from scratch (unless content-equal to an artifact
+    still registered), with the engine's settings.
+
+    Evolving (:meth:`Disambiguator.evolved`) returns byte-identical
+    completions; this is the pre-delta workflow it is measured against.
+    """
+    schema = engine.schema.copy()
+    schema.apply(delta)
+    schema.validate()
+    return Disambiguator(
+        schema,
+        order=engine.order,
+        domain_knowledge=engine.domain_knowledge,
+        e=engine.e,
+        use_caution_sets=engine.use_caution_sets,
+        apply_inheritance_criterion=engine.apply_inheritance_criterion,
+        max_depth=engine.max_depth,
+        budget=engine.budget,
+        pruning=engine.pruning,
+    )
+
+
 def run_designer_session(
     mode: str = "incremental",
     e: int = 2,
     schema: Schema | None = None,
     script: Sequence | None = None,
 ) -> DesignerSessionResult:
-    """Run the scripted session once in the given delta mode.
+    """Run the scripted session once in the given mode.
 
     ``rebuild`` recompiles the artifact from scratch after every edit
-    (the pre-delta workflow); ``incremental`` repairs the closure and
-    carries the surviving completion cache.  Both end at the same final
+    (the pre-delta workflow, :func:`rebuild_engine`); ``incremental``
+    evolves it, repairing the closure and carrying the surviving
+    completion cache.  Both end at the same final
     schema, and the per-query results are byte-identical (the fuzz suite
     asserts this); only the timings differ.
     """
+    if mode not in ("incremental", "rebuild"):
+        raise ValueError(
+            f"mode must be 'incremental' or 'rebuild', got {mode!r}"
+        )
     base = schema if schema is not None else build_cupid_schema()
     steps = list(script) if script is not None else cupid_designer_script()
     engine = Disambiguator(base, e=e)
@@ -289,7 +320,11 @@ def run_designer_session(
             description, factory = step
             delta = factory(engine.schema)
             started = time.perf_counter()
-            engine = engine.evolved(delta, mode=mode)
+            engine = (
+                engine.evolved(delta)
+                if mode == "incremental"
+                else rebuild_engine(engine, delta)
+            )
             elapsed = time.perf_counter() - started
             records.append(
                 DesignerStep(

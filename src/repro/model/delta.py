@@ -358,6 +358,17 @@ class SchemaDelta:
                 frontier.add(relationship.source)
         return frozenset(frontier)
 
+    def added_isa_edges(self) -> tuple[Relationship, ...]:
+        """The Isa edges this delta adds — the only edits that can close
+        an inheritance cycle (see :meth:`Schema.check_isa_additions
+        <repro.model.schema.Schema.check_isa_additions>`)."""
+        return tuple(
+            command.relationship
+            for command in self.commands
+            if isinstance(command, (AddRelationship, AddInheritanceEdge))
+            and command.relationship.kind is RelationshipKind.ISA
+        )
+
     @property
     def is_empty(self) -> bool:
         return not self.commands

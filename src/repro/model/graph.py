@@ -188,6 +188,21 @@ class SchemaGraph:
         clone._adjacency = adjacency
         return clone
 
+    def rows_changed_from(self, other: "SchemaGraph") -> list[str]:
+        """Names whose adjacency row differs from ``other``'s by identity.
+
+        Against the graph it was :meth:`evolved` from, that is exactly
+        the rebuilt rows plus the rows of removed classes: every other
+        row is the very same list, holding the very same edges.
+        """
+        mine = self._adjacency
+        theirs = other._adjacency
+        changed = [
+            name for name, row in mine.items() if theirs.get(name) is not row
+        ]
+        changed.extend(name for name in theirs if name not in mine)
+        return changed
+
     def restricted(
         self,
         exclude_classes: frozenset[str] | set[str] = frozenset(),

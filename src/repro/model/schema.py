@@ -14,6 +14,7 @@ class name.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from repro.errors import (
@@ -31,6 +32,41 @@ from repro.model.kinds import RelationshipKind
 from repro.model.relationships import Relationship
 
 __all__ = ["Schema"]
+
+
+def _class_line(cls: ClassDef) -> bytes:
+    return f"C|{cls.name}|{int(cls.primitive)}\n".encode()
+
+
+def _relationship_line(rel: Relationship) -> bytes:
+    return (
+        f"R|{rel.source}|{rel.name}|{rel.target}|{rel.kind.symbol}\n".encode()
+    )
+
+
+class _SortedLines:
+    """One kind's fingerprint lines in digest order, patchable in place:
+    sort keys and lines in two aligned lists, so an insert or a removal
+    is one bisection plus two list shifts."""
+
+    __slots__ = ("keys", "lines")
+
+    def __init__(self, keys: list, lines: list[bytes]) -> None:
+        self.keys = keys
+        self.lines = lines
+
+    def insert(self, key: object, line: bytes) -> None:
+        at = bisect_left(self.keys, key)
+        self.keys.insert(at, key)
+        self.lines.insert(at, line)
+
+    def remove(self, key: object) -> None:
+        at = bisect_left(self.keys, key)
+        del self.keys[at]
+        del self.lines[at]
+
+    def copy(self) -> "_SortedLines":
+        return _SortedLines(list(self.keys), list(self.lines))
 
 
 class Schema:
@@ -58,6 +94,12 @@ class Schema:
         self._relationships: dict[tuple[str, str], Relationship] = {}
         # Outgoing relationship keys per source class, in insertion order.
         self._outgoing: dict[str, list[tuple[str, str]]] = {}
+        # Memo of fingerprint(); every mutator clears it.
+        self._fingerprint: str | None = None
+        # The fingerprint's sorted (class, relationship) lines, kept
+        # only on copies so an edited copy's digest is re-hashed from
+        # patched lines instead of re-sorting every record (see copy).
+        self._records: tuple[_SortedLines, _SortedLines] | None = None
         for cls in primitive_classes():
             self._install_class(cls)
 
@@ -68,6 +110,9 @@ class Schema:
     def _install_class(self, cls: ClassDef) -> None:
         self._classes[cls.name] = cls
         self._outgoing.setdefault(cls.name, [])
+        self._fingerprint = None
+        if self._records is not None:
+            self._records[0].insert(cls.name, _class_line(cls))
 
     def add_class(self, name: str, doc: str = "") -> ClassDef:
         """Add a user-defined class and return its definition.
@@ -228,6 +273,9 @@ class Schema:
             raise DuplicateRelationshipError(*rel.key)
         self._relationships[rel.key] = rel
         self._outgoing[rel.source].append(rel.key)
+        self._fingerprint = None
+        if self._records is not None:
+            self._records[1].insert(rel.key, _relationship_line(rel))
 
     def remove_relationship(self, source: str, name: str) -> Relationship:
         """Remove the relationship ``(source, name)`` and return it.
@@ -240,6 +288,9 @@ class Schema:
         rel = self.get_relationship(source, name)
         del self._relationships[rel.key]
         self._outgoing[source].remove(rel.key)
+        self._fingerprint = None
+        if self._records is not None:
+            self._records[1].remove(rel.key)
         return rel
 
     def remove_attribute(self, source: str, name: str) -> Relationship:
@@ -287,6 +338,9 @@ class Schema:
             self.remove_relationship(rel.source, rel.name)
         del self._classes[name]
         del self._outgoing[name]
+        self._fingerprint = None
+        if self._records is not None:
+            self._records[0].remove(name)
         return cls
 
     # ------------------------------------------------------------------
@@ -311,6 +365,11 @@ class Schema:
         disturbs the original.  This is what :meth:`CompiledSchema.evolve
         <repro.core.compiled.CompiledSchema.evolve>` edits, keeping the
         source artifact's schema immutable in practice.
+
+        The copy carries the fingerprint memo and the sorted fingerprint
+        records (sorted here from this schema if it has none), which its
+        mutators then patch in O(log n) each: an edited copy re-hashes
+        its records without re-sorting or re-formatting them.
         """
         clone = Schema.__new__(Schema)
         clone.name = self.name if name is None else name
@@ -319,6 +378,13 @@ class Schema:
         clone._outgoing = {
             source: list(keys) for source, keys in self._outgoing.items()
         }
+        clone._fingerprint = self._fingerprint
+        records = self._records
+        clone._records = (
+            (records[0].copy(), records[1].copy())
+            if records is not None
+            else self._sorted_lines()
+        )
         return clone
 
     def has_relationship(self, source: str, name: str) -> bool:
@@ -374,18 +440,39 @@ class Schema:
         therefore share a fingerprint.  Any mutation that adds, removes,
         or retargets a class or relationship changes the digest, which
         is what lets :mod:`repro.core.compiled` detect staleness.
+
+        The digest is memoized on the schema and cleared by every
+        mutator, so repeated calls on an unchanged schema (staleness
+        checks, registry lookups, graph fingerprints) cost nothing.
         """
-        hasher = hashlib.sha256()
-        for name in sorted(self._classes):
-            cls = self._classes[name]
-            hasher.update(f"C|{name}|{int(cls.primitive)}\n".encode())
-        for key in sorted(self._relationships):
-            rel = self._relationships[key]
-            hasher.update(
-                f"R|{rel.source}|{rel.name}|{rel.target}|"
-                f"{rel.kind.symbol}\n".encode()
-            )
-        return hasher.hexdigest()
+        digest = self._fingerprint
+        if digest is None:
+            hasher = hashlib.sha256()
+            if self._records is not None:
+                for records in self._records:
+                    hasher.update(b"".join(records.lines))
+            else:
+                # Streamed, so a schema that is never copied holds no
+                # records (and builds no list of them) at all.
+                for name in sorted(self._classes):
+                    hasher.update(_class_line(self._classes[name]))
+                for key in sorted(self._relationships):
+                    hasher.update(_relationship_line(self._relationships[key]))
+            digest = self._fingerprint = hasher.hexdigest()
+        return digest
+
+    def _sorted_lines(self) -> tuple[_SortedLines, _SortedLines]:
+        """The fingerprint's (class, relationship) lines, sorted from
+        scratch (see :meth:`copy`)."""
+        names = sorted(self._classes)
+        keys = sorted(self._relationships)
+        return (
+            _SortedLines(names, [_class_line(self._classes[n]) for n in names]),
+            _SortedLines(
+                keys,
+                [_relationship_line(self._relationships[k]) for k in keys],
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Inheritance helpers (thin wrappers; full logic in model.inheritance)
@@ -453,6 +540,42 @@ class Schema:
         for name in self._classes:
             if state.get(name, 0) == 0:
                 visit(name, [])
+
+    def check_isa_additions(self, added: Iterable[Relationship]) -> None:
+        """Raise if one of the ``added`` Isa edges closes a cycle.
+
+        The delta-scoped twin of the full check in :meth:`validate`, for
+        a schema known to be acyclic without these edges: any cycle must
+        then run through an added edge, and ``sub @> sup`` closes one
+        exactly when ``sup`` reaches ``sub`` along Isa edges.  Only the
+        superclass's ancestors are visited.  Edges that are no longer
+        Isa edges of this schema (added, then removed again) are skipped.
+        """
+        for rel in added:
+            stored = self._relationships.get(rel.key)
+            if stored is None or stored.kind is not RelationshipKind.ISA:
+                continue
+            path = self._isa_path(stored.target, stored.source)
+            if path is not None:
+                raise InheritanceCycleError([stored.source, *path])
+
+    def _isa_path(self, start: str, goal: str) -> list[str] | None:
+        """An Isa path ``start @> ... @> goal``, or None (depth-first)."""
+        parent_of: dict[str, str | None] = {start: None}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                path = [node]
+                while parent_of[node] is not None:
+                    node = parent_of[node]
+                    path.append(node)
+                return path[::-1]
+            for parent in self.isa_parents(node):
+                if parent not in parent_of:
+                    parent_of[parent] = node
+                    stack.append(parent)
+        return None
 
     # ------------------------------------------------------------------
     # Dunder / display

@@ -19,14 +19,14 @@ Everything else is dropped on the floor, so memory stays bounded by
 much traffic flows through.
 
 Each retained :class:`SlowLogEntry` carries the query text, E, the
-active ``pruning`` and ``delta`` modes (a slow query under
-``pruning=none`` is expected; the same query slow under ``closure`` is
-a regression — the log must say which one you are looking at), the
+active ``pruning`` mode (a slow query under ``pruning=none`` is
+expected; the same query slow under ``closure`` is a regression — the
+log must say which one you are looking at), the
 budget outcome (``exhausted``/``truncation_reason``/``error``), the
 traversal stats, and the full trace-event subtree; exports carry
 ``version``  :data:`SLOWLOG_VERSION` and validate against the
 checked-in ``slowlog_entry.schema.json``, which rejects records from
-older versions that never recorded the modes.
+older versions.
 
 Like the tracer and metrics registry, the ambient default
 (:func:`get_slowlog`) is a shared no-op whose :attr:`enabled` flag the
@@ -61,10 +61,12 @@ __all__ = [
 ]
 
 #: Record format version stamped on every exported entry.  Version 1
-#: never recorded the active pruning/delta modes, which made slow-query
-#: triage ambiguous (was that 40ms search running the closure cuts or
-#: the reference loop?); version 2 adds both and the schema rejects v1.
-SLOWLOG_VERSION = 2
+#: never recorded the active pruning mode, which made slow-query triage
+#: ambiguous (was that 40ms search running the closure cuts or the
+#: reference loop?); version 2 added it and a ``delta`` mode; version 3
+#: drops ``delta``, since schema edits have one strategy.  The schema
+#: rejects older versions.
+SLOWLOG_VERSION = 3
 
 #: Reasons an entry was retained.
 RETAINED_THRESHOLD = "threshold"
@@ -78,17 +80,16 @@ RETAINED_SAMPLED = "sampled"
 RETAINED_PROMOTED = "promoted"
 
 
-def _ambient_modes() -> tuple[str, str]:
-    """The process-wide pruning/delta modes (env override or default).
+def _ambient_pruning() -> str:
+    """The process-wide pruning mode (env override or default).
 
     Imported lazily: ``repro.core`` imports this module for its entry-
     point hooks, so a module-level import back into ``repro.core``
     would be circular.
     """
     from repro.core.closure import resolve_pruning
-    from repro.core.compiled import resolve_delta_mode
 
-    return resolve_pruning(None), resolve_delta_mode(None)
+    return resolve_pruning(None)
 
 
 class SlowLogEntry:
@@ -100,7 +101,6 @@ class SlowLogEntry:
         "query",
         "e",
         "pruning",
-        "delta",
         "elapsed_ms",
         "exhausted",
         "truncation_reason",
@@ -118,7 +118,6 @@ class SlowLogEntry:
         query: str,
         e: int | None,
         pruning: str,
-        delta: str,
         elapsed_ms: float,
         exhausted: bool,
         truncation_reason: str | None,
@@ -133,7 +132,6 @@ class SlowLogEntry:
         self.query = query
         self.e = e
         self.pruning = pruning
-        self.delta = delta
         self.elapsed_ms = elapsed_ms
         self.exhausted = exhausted
         self.truncation_reason = truncation_reason
@@ -152,7 +150,6 @@ class SlowLogEntry:
             "query": self.query,
             "e": self.e,
             "pruning": self.pruning,
-            "delta": self.delta,
             "elapsed_ms": self.elapsed_ms,
             "exhausted": self.exhausted,
             "truncation_reason": self.truncation_reason,
@@ -184,7 +181,6 @@ class Observation:
         "query",
         "e",
         "pruning",
-        "delta",
         "attrs",
         "exhausted",
         "truncation_reason",
@@ -200,13 +196,11 @@ class Observation:
         e: int | None,
         attrs: dict,
         pruning: str,
-        delta: str,
     ) -> None:
         self.kind = kind
         self.query = query
         self.e = e
         self.pruning = pruning
-        self.delta = delta
         self.attrs = attrs
         self.exhausted = True
         self.truncation_reason: str | None = None
@@ -316,16 +310,14 @@ class SlowQueryLog:
         query: str,
         e: int | None = None,
         pruning: str | None = None,
-        delta: str | None = None,
         **attrs: object,
     ) -> Iterator[Observation | _NullObservation]:
         """Time the with-block as one query and consider it for retention.
 
-        ``pruning``/``delta`` default to the ambient resolved modes
-        (explicit value, else the ``REPRO_PRUNING``/``REPRO_DELTA``
-        environment overrides, else the defaults), so every retained
-        entry says which search loop and delta-application strategy
-        were live — callers that know better (the engine knows its own
+        ``pruning`` defaults to the ambient resolved mode (explicit
+        value, else the ``REPRO_PRUNING`` environment override, else the
+        default), so every retained entry says which search loop was
+        live — callers that know better (the engine knows its own
         ``pruning``) pass the exact value.
 
         Installs a private :class:`RecordingTracer` when no real tracer
@@ -338,11 +330,9 @@ class SlowQueryLog:
             yield _NULL_OBSERVATION
             return
         token = _OBSERVING.set(True)
-        if pruning is None or delta is None:
-            ambient_pruning, ambient_delta = _ambient_modes()
-            pruning = pruning if pruning is not None else ambient_pruning
-            delta = delta if delta is not None else ambient_delta
-        observation = Observation(kind, query, e, dict(attrs), pruning, delta)
+        if pruning is None:
+            pruning = _ambient_pruning()
+        observation = Observation(kind, query, e, dict(attrs), pruning)
         tracer = get_tracer()
         private: RecordingTracer | None = None
         roots_before = 0
@@ -414,7 +404,6 @@ class SlowQueryLog:
                 query=observation.query,
                 e=observation.e,
                 pruning=observation.pruning,
-                delta=observation.delta,
                 elapsed_ms=elapsed_ms,
                 exhausted=observation.exhausted,
                 truncation_reason=observation.truncation_reason,
@@ -481,7 +470,7 @@ class SlowQueryLog:
             lines.append(
                 f"  #{entry.seq:<4} {entry.elapsed_ms:9.2f}ms "
                 f"[{entry.retained}] {entry.kind}: {entry.query}"
-                f"  pruning={entry.pruning} delta={entry.delta}"
+                f"  pruning={entry.pruning}"
                 + (f"  ({', '.join(flags)})" if flags else "")
             )
         return "\n".join(lines)
@@ -536,7 +525,6 @@ class NullSlowQueryLog:
         query: str,
         e: int | None = None,
         pruning: str | None = None,
-        delta: str | None = None,
         **attrs: object,
     ) -> Iterator[_NullObservation]:
         yield _NULL_OBSERVATION

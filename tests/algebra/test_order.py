@@ -119,5 +119,15 @@ class TestBeatsMap:
                     first, second
                 )
 
+    def test_defeat_masks_mirror_better_and_are_shared(self):
+        masks = DEFAULT_ORDER.defeat_masks()
+        for winner in ALL_CONNECTORS:
+            for loser in ALL_CONNECTORS:
+                assert bool(masks[loser.index] >> winner.index & 1) == (
+                    DEFAULT_ORDER.better(winner, loser)
+                )
+        # Memoized: every aggregator over the order reads one table.
+        assert DEFAULT_ORDER.defeat_masks() is masks
+
     def test_repr_mentions_name(self):
         assert "default" in repr(DEFAULT_ORDER)

@@ -250,9 +250,7 @@ class TestCacheProvenance:
 
             # Evolve: the carried entry is served warm on the evolved
             # artifact and the audit says it was adopted, not recomputed.
-            evolved = compiled.evolve(
-                SchemaDelta.of(AddClass("annex")), mode="incremental"
-            )
+            evolved = compiled.evolve(SchemaDelta.of(AddClass("annex")))
             carried_log = SearchAuditLog()
             with use_audit(carried_log):
                 Disambiguator(evolved).complete("ta ~ name")

@@ -11,8 +11,9 @@ contracts of the delta layer:
   byte-identical to a cold compile of the final schema, at E=1..3, in
   both pruning modes.
 
-The incremental mode is passed explicitly so the suite still tests the
-patching path under CI's ``REPRO_DELTA=rebuild`` matrix leg.
+The from-scratch builds (``SchemaClosure(graph)``, ``CompiledSchema``
+over a copy of the final schema) are the oracle; evolving is the only
+runtime path.
 """
 
 import random
@@ -135,12 +136,21 @@ def small_schema(seed: int):
     return generate_schema(GeneratorConfig(classes=14, seed=seed))
 
 
-def assert_closures_equal(evolved: SchemaClosure, scratch: SchemaClosure):
+def assert_closures_equal(evolved: SchemaClosure, scratch: SchemaClosure) -> int:
+    """Field-for-field equality; returns how many tables were compared.
+
+    Every table the evolved closure carries is compared: the ones
+    already repaired and the ones whose repair still waits for first use
+    (``tables_for`` materializes those).
+    """
     assert evolved.nodes == scratch.nodes
     assert evolved.index == scratch.index
     assert list(evolved.reach) == list(scratch.reach)
-    for key, tables in evolved._tables.items():
-        expected = scratch.tables_for(_target_from_cache_key(key))
+    keys = sorted(set(evolved._tables) | set(evolved._pending))
+    for key in keys:
+        target = _target_from_cache_key(key)
+        tables = evolved.tables_for(target)
+        expected = scratch.tables_for(target)
         if tables is None or expected is None:
             assert tables == expected
             continue
@@ -150,6 +160,8 @@ def assert_closures_equal(evolved: SchemaClosure, scratch: SchemaClosure):
         assert tables.completing == expected.completing, key
         assert tables.interior == expected.interior, key
         assert tables.reach_pruned == expected.reach_pruned, key
+        assert tables.reach_dropped == expected.reach_dropped, key
+    return len(keys)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -160,6 +172,7 @@ def test_incremental_closure_matches_scratch(seed):
     graph = SchemaGraph(schema)
     closure = SchemaClosure(graph)
     _ = closure.reach
+    compared = 0
     for step in range(STEPS):
         # Keep a couple of target tables warm so table repair is always
         # exercised (relationship names drift as edits accumulate).
@@ -173,8 +186,9 @@ def test_incremental_closure_matches_scratch(seed):
         evolved = closure.evolved(new_graph)
         SchemaClosure.clear_cache()  # cold rebuild must not see the evolved one
         scratch = SchemaClosure(new_graph)
-        assert_closures_equal(evolved, scratch)
+        compared += assert_closures_equal(evolved, scratch)
         schema, graph, closure = evolved_schema, new_graph, evolved
+    assert compared  # repaired tables were actually checked
 
 
 def snapshot(result):
@@ -202,7 +216,7 @@ def test_evolved_completions_match_cold_compile(seed, pruning):
         for root, name in queries:
             compiled.complete_simple(root, name, e=1, pruning=pruning)
         delta = script.random_delta(compiled.schema)
-        compiled = compiled.evolve(delta, mode="incremental")
+        compiled = compiled.evolve(delta)
         SchemaClosure.clear_cache()
         cold = CompiledSchema(compiled.schema.copy())
         for e in E_VALUES:
@@ -214,3 +228,118 @@ def test_evolved_completions_match_cold_compile(seed, pruning):
                 assert snapshot(warm) == snapshot(reference), (
                     f"seed={seed} step={step} {root}~{name} e={e}"
                 )
+
+
+def insertion_delta(rng: random.Random, script: EditScript, schema) -> SchemaDelta:
+    """1-3 edge insertions (sometimes into a brand-new class)."""
+    users = [c.name for c in schema.classes(False)]
+    commands = []
+    if rng.random() < 0.4:
+        fresh = script.fresh_name("fz")
+        commands.append(AddClass(fresh))
+        users = users + [fresh]
+    for _ in range(rng.randint(1, 3)):
+        source, target = rng.choices(users, k=2)
+        if rng.random() < 0.3:
+            target = rng.choice(("I", "R", "C", "B"))
+        commands.append(
+            AddRelationship(
+                Relationship(
+                    source,
+                    target,
+                    rng.choice(
+                        (
+                            RelationshipKind.IS_ASSOCIATED_WITH,
+                            RelationshipKind.HAS_PART,
+                            RelationshipKind.IS_PART_OF,
+                        )
+                    ),
+                    # Reuse live names so new edges complete warm targets.
+                    name=rng.choice(
+                        sorted({rel.name for rel in schema.relationships()})
+                        + [script.fresh_name("edge")]
+                    ),
+                )
+            )
+        )
+    work = schema.copy()
+    kept = []
+    for command in commands:
+        try:
+            command.apply_to(work)
+        except Exception:
+            continue  # e.g. the drawn name is already declared there
+        kept.append(command)
+    return SchemaDelta.of(*kept)
+
+
+def deletion_delta(rng: random.Random, schema) -> SchemaDelta:
+    """Remove one attribute: an edge into a primitive class completes only
+    its own name's target and reaches nothing else, so every other
+    warm table survives the deletion and stays pending."""
+    attributes = [
+        rel
+        for rel in schema.relationships()
+        if schema.get_class(rel.target).primitive
+    ]
+    return SchemaDelta.of(RemoveRelationship(rng.choice(attributes)))
+
+
+@pytest.mark.parametrize("steps", (("insert", "insert"), ("insert", "insert", "delete")))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_deferred_repairs_match_scratch_builds(seed, steps):
+    """Table repairs wait for first use across an edit chain, hold one
+    shared link per edit, and then equal a from-scratch build."""
+    rng = random.Random(2000 + seed)
+    script = EditScript(rng)
+    schema = small_schema(seed)
+    graph = SchemaGraph(schema)
+    closure = SchemaClosure(graph)
+    _ = closure.reach
+    for name in sorted({rel.name for rel in schema.relationships()}):
+        closure.tables_for(RelationshipTarget(name))
+    warmed = set(closure._tables)
+    for kind in steps:
+        if kind == "insert":
+            delta = insertion_delta(rng, script, schema)
+        else:
+            delta = deletion_delta(rng, schema)
+        evolved_schema = schema.copy()
+        evolved_schema.apply(delta)
+        new_graph = graph.evolved(evolved_schema, delta.touched_classes())
+        evolved = closure.evolved(new_graph)
+        assert not evolved._tables  # nothing repaired before first use
+        if kind == "insert":
+            assert set(evolved._pending) == warmed
+            # O(delta) per closure: every pending table shares this
+            # edit's one link, which points at the parent's chain.
+            links = {id(chain) for _, chain in evolved._pending.values()}
+            assert len(links) == 1
+            for key, (base, chain) in evolved._pending.items():
+                if key in closure._pending:
+                    parent_base, parent_chain = closure._pending[key]
+                    assert base is parent_base
+                    assert chain[1] is parent_chain
+        else:
+            # The deletion brought the parent's pending tables up to date
+            # before reading their conns.
+            assert not closure._pending
+            assert set(closure._tables) == warmed
+        schema, graph, closure = evolved_schema, new_graph, evolved
+        warmed = set(closure._pending)
+    SchemaClosure.clear_cache()
+    scratch = SchemaClosure(graph)
+    assert warmed
+    for key in sorted(warmed):
+        target = _target_from_cache_key(key)
+        tables = closure.tables_for(target)
+        expected = scratch._build_tables(target)
+        assert tables.reach_mask == expected.reach_mask, key
+        assert tables.rows == expected.rows, key
+        assert tables.conns == expected.conns, key
+        assert tables.completing == expected.completing, key
+        assert tables.interior == expected.interior, key
+        assert tables.reach_pruned == expected.reach_pruned, key
+        assert tables.reach_dropped == expected.reach_dropped, key
+        assert bytes(tables.dist) == bytes(expected.dist), key
+    assert not closure._pending  # materialized once, then memoized

@@ -32,8 +32,11 @@ class CannedServer:
                 return
             with conn:
                 conn.recv(65536)  # one request per connection
-                conn.sendall(self._responses[self.served])
+                response = self._responses[self.served]
+                # Count before sending: the client may check ``served``
+                # as soon as it has read the response.
                 self.served += 1
+                conn.sendall(response)
 
     def close(self):
         try:
