@@ -1,4 +1,4 @@
-"""Bench PR5 — closure-guided pruning and parallel cold completion.
+"""Bench PR5 — closure-guided pruning.
 
 Runs the ten CUPID workload queries cold on the *unrestricted* schema
 (no domain-knowledge exclusions — that is where Algorithm 2 actually
@@ -13,12 +13,10 @@ loop) and once with ``pruning="closure"``.  The contract under test:
   ``compile_seconds`` (the reach matrix and per-target tables are lazy,
   so the compile path only pays the index build — well under 1%);
 * even the fully *eager* closure (reach + all ten target tables) costs
-  less than the single unpruned cold pass it replaces;
-* ``complete_batch(..., jobs=4)`` returns byte-identical results in
-  input order with at most modest thread-pool overhead (the GIL caps
-  the win for this pure-Python CPU-bound search; see the ROADMAP's
-  process-pool item — both series are ledger-gated so the numbers
-  stay visible).
+  less than the single unpruned cold pass it replaces.
+
+The sequential batch pass at the top E is recorded as
+``closure.batch_seq_seconds_e{E}``.
 
 Timings land in ``BENCH_closure.json`` at the repo root and in the
 ``BENCH_history.jsonl`` perf ledger (gated by
@@ -37,7 +35,6 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, record_bench
-from repro.core import compiled as compiled_registry
 from repro.core.closure import SchemaClosure
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
@@ -69,18 +66,11 @@ def _snapshots(batch) -> list[tuple]:
     ]
 
 
-def _cold_pass(schema, texts, e, pruning, jobs=1, executor=None):
-    """One genuinely cold batch: fresh artifact, empty completion cache.
-
-    With ``executor="process"`` the compile registry is cleared first so
-    forked workers cannot inherit a warm artifact — the pass measures a
-    genuinely cold shard on every core.
-    """
-    if executor == "process":
-        compiled_registry.invalidate()
+def _cold_pass(schema, texts, e, pruning):
+    """One genuinely cold batch: fresh artifact, empty completion cache."""
     engine = Disambiguator(CompiledSchema(schema), e=e, pruning=pruning)
     start = time.perf_counter()
-    batch = engine.complete_batch(texts, jobs=jobs, executor=executor)
+    batch = engine.complete_batch(texts)
     seconds = time.perf_counter() - start
     calls = sum(result.stats.recursive_calls for result in batch)
     pruned = sum(
@@ -184,55 +174,12 @@ def test_closure_pruning_speedup(cupid, oracle):
         f"reach+tables {eager_seconds * 1000:8.2f} ms"
     )
 
-    # ------------------------------------------------------------------
-    # Parallel cold completion: byte-identical always, and the thread
-    # pool must never cost more than modest overhead.  A strict "beats
-    # sequential" bar is not assertable for this pure-Python CPU-bound
-    # search under the GIL (the ROADMAP tracks process-pool escalation
-    # for exactly that); both series are recorded and gated so a real
-    # win — or a regression — shows up in the ledger.
-    # ------------------------------------------------------------------
     e = max(E_VALUES)
-    sequential, seq_seconds, _, _ = _cold_pass(cupid, texts, e, "closure")
-    threaded, par_seconds, _, _ = _cold_pass(
-        cupid, texts, e, "closure", jobs=4
-    )
-    assert _snapshots(threaded) == _snapshots(sequential)
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        # On one core thread scheduling can only add overhead, so the
-        # cap is not a meaningful contract there; with 2+ cores the
-        # pool must at least not cost more than modest overhead.
-        assert par_seconds < seq_seconds * 1.5, (
-            f"jobs=4 ({par_seconds * 1000:.0f}ms) added pathological "
-            f"overhead over sequential ({seq_seconds * 1000:.0f}ms) on "
-            f"{cores} core(s)"
-        )
+    _, seq_seconds, _, _ = _cold_pass(cupid, texts, e, "closure")
     record_bench(
         f"closure.batch_seq_seconds_e{e}", seq_seconds, quick=QUICK
     )
-    record_bench(
-        f"closure.batch_jobs4_seconds_e{e}", par_seconds, quick=QUICK
-    )
-    # The process backend rides along as its own ledger series (the
-    # speedup assertion itself lives in bench_kernel.py, gated by core
-    # count); here the contract is byte-identity with the sequential
-    # pass plus ledger visibility.
-    process, proc_seconds, _, _ = _cold_pass(
-        cupid, texts, e, "closure", jobs=4, executor="process"
-    )
-    assert _snapshots(process) == _snapshots(sequential)
-    record_bench(
-        f"closure.batch_process_jobs4_seconds_e{e}",
-        proc_seconds,
-        quick=QUICK,
-        cores=cores,
-    )
-    lines.append(
-        f"batch E={e}: sequential {seq_seconds * 1000:8.1f} ms | jobs=4 "
-        f"threads {par_seconds * 1000:8.1f} ms | jobs=4 processes "
-        f"{proc_seconds * 1000:8.1f} ms on {cores} core(s)"
-    )
+    lines.append(f"batch E={e}: sequential {seq_seconds * 1000:8.1f} ms")
 
     record = {
         "schema": "cupid (unrestricted)",
@@ -242,13 +189,7 @@ def test_closure_pruning_speedup(cupid, oracle):
         "compile_seconds": compiled.compile_seconds,
         "closure_register_seconds": register_seconds,
         "closure_eager_build_seconds": eager_seconds,
-        "batch": {
-            "e": e,
-            "sequential_seconds": seq_seconds,
-            "jobs4_seconds": par_seconds,
-            "process_jobs4_seconds": proc_seconds,
-            "cores": cores,
-        },
+        "batch": {"e": e, "sequential_seconds": seq_seconds},
         "python": platform.python_version(),
     }
     _RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")

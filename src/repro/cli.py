@@ -2,13 +2,13 @@
 
 Installed as the ``repro`` console script.  Subcommands::
 
-    repro complete  [--schema FILE | --builtin NAME] [-e N] [--jobs N]
+    repro complete  [--schema FILE | --builtin NAME] [-e N]
                     [--exclude CLS ...] [--verbose] EXPRESSION ...
     repro enumerate [--schema FILE | --builtin NAME] [--limit N] EXPRESSION
     repro profile   [--schema FILE | --builtin NAME] [--suggest-hubs]
     repro query     --db FILE QUERY
     repro convert   INPUT OUTPUT          # schema DSL <-> JSON by extension
-    repro experiments [--quick] [--jobs N]
+    repro experiments [--quick]
     repro designer  [--mode both|incremental|rebuild] [-e N]
 
 Schemas are loaded from ``.json`` (repro-schema documents) or any other
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,7 +52,6 @@ from repro.core.compiled import compile_schema
 from repro.core.domain import DomainKnowledge
 from repro.core.engine import Disambiguator
 from repro.core.enumerate import enumerate_consistent_paths
-from repro.core.procpool import EXECUTOR_ENV_VAR, EXECUTOR_MODES
 from repro.core.parser import parse_path_expression
 from repro.core.printer import format_result
 from repro.core.target import RelationshipTarget
@@ -189,43 +187,6 @@ def _add_budget_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "pool workers for cold completions (results are "
-            "byte-identical to a sequential run)"
-        ),
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_MODES,
-        default=None,
-        help=(
-            "worker-pool backend for every cold-completion fan-out this "
-            "command runs: 'thread' (default) or 'process' (shards cold "
-            "misses across cores; falls back to threads when ambient "
-            "state cannot cross the process boundary); defaults to "
-            "$REPRO_EXECUTOR"
-        ),
-    )
-
-
-def _apply_executor(args: argparse.Namespace) -> None:
-    """Make ``--executor`` ambient for the rest of this CLI process.
-
-    The knob already resolves through the ``REPRO_EXECUTOR`` environment
-    variable at every pool site (batch, prewarm, figure workloads), so
-    setting it once here governs them all uniformly.
-    """
-    executor = getattr(args, "executor", None)
-    if executor is not None:
-        os.environ[EXECUTOR_ENV_VAR] = executor
-
-
 def _budget_from(args: argparse.Namespace) -> Budget | None:
     """Build the ambient budget requested by the CLI flags (or None)."""
     deadline_ms = getattr(args, "deadline_ms", None)
@@ -328,11 +289,10 @@ def _cmd_complete(args: argparse.Namespace) -> int:
         if args.exclude
         else DomainKnowledge.none()
     )
-    _apply_executor(args)
     with _observability(args) as registry:
         compiled = compile_schema(schema, domain_knowledge=knowledge)
         engine = Disambiguator(compiled, e=args.e)
-        batch = engine.complete_batch(args.expression, jobs=args.jobs)
+        batch = engine.complete_batch(args.expression)
         for index, result in enumerate(batch):
             if index:
                 print()
@@ -397,9 +357,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     database = load_database(args.db)
-    _apply_executor(args)
     with _observability(args):
-        result = run_query(database, args.query, jobs=args.jobs)
+        result = run_query(database, args.query)
         for expression, values in result.per_completion:
             rendered = sorted(map(str, values)) if values else "(empty)"
             print(f"{expression} = {rendered}")
@@ -438,9 +397,8 @@ def _cmd_fox(args: argparse.Namespace) -> int:
     from repro.query.fox import run_fox
 
     database = load_database(args.db)
-    _apply_executor(args)
     with _observability(args):
-        rows = run_fox(database, args.query, jobs=args.jobs)
+        rows = run_fox(database, args.query)
         for row in rows:
             rendered = "  |  ".join(
                 ", ".join(sorted(map(str, values))) if values else "(empty)"
@@ -470,9 +428,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_all
 
-    _apply_executor(args)
     with _observability(args):
-        run_all(quick=args.quick, jobs=args.jobs)
+        run_all(quick=args.quick)
     return 0
 
 
@@ -574,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     complete.add_argument("--verbose", action="store_true")
-    _add_jobs_option(complete)
     _add_obs_options(complete)
     _add_budget_options(complete)
     complete.set_defaults(handler=_cmd_complete)
@@ -599,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--db", required=True, metavar="FILE")
     query.add_argument("query")
-    _add_jobs_option(query)
     _add_obs_options(query)
     _add_budget_options(query)
     query.set_defaults(handler=_cmd_query)
@@ -637,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fox.add_argument("--db", required=True, metavar="FILE")
     fox.add_argument("query")
-    _add_jobs_option(fox)
     _add_obs_options(fox)
     _add_budget_options(fox)
     fox.set_defaults(handler=_cmd_fox)
@@ -653,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate every figure of the paper"
     )
     experiments.add_argument("--quick", action="store_true")
-    _add_jobs_option(experiments)
     _add_obs_options(experiments)
     _add_budget_options(experiments)
     experiments.set_defaults(handler=_cmd_experiments)

@@ -130,9 +130,8 @@ class ConcretePath:
     The derived label and path text are memoized in the instance
     ``__dict__`` on first use (see :meth:`label` and :meth:`__str__`),
     not stored as fields, so equality, hashing, and ``repr`` see only
-    the two fields.  A pickle round-trip (process-pool results cross
-    one) carries the memos along; a path built without them derives
-    them again on first use.
+    the two fields.  A pickle round-trip carries the memos along; a path
+    built without them derives them again on first use.
     """
 
     root: str

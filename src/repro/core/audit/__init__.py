@@ -135,10 +135,7 @@ class SearchAuditLog:
     Records are plain dicts (``seq`` + ``kind`` + per-kind attributes)
     so export is a straight ``json.dumps`` per line and reconstruction
     needs no class registry.  Not thread-safe by design — install one
-    per worker via :func:`use_audit` (contextvars are copied into
-    :meth:`~repro.core.engine.Disambiguator.complete_batch` workers, so
-    a shared log across jobs would interleave; audit one query at a
-    time instead).
+    per thread via :func:`use_audit`, and audit one query at a time.
     """
 
     __slots__ = ("records",)

@@ -215,17 +215,6 @@ class CompletionCache:
         with self._lock:
             return self._bytes
 
-    def entries(self) -> list[tuple[tuple, CompletionResult]]:
-        """A consistent snapshot of ``(key, result)`` pairs (LRU order).
-
-        Read-only view for the process-pool hand-off: a worker diffs
-        the snapshot taken before its batch slice against the one after
-        to find the entries its completions added, and ships exactly
-        those back for the parent to adopt.  Does not touch recency.
-        """
-        with self._lock:
-            return list(self._data.items())
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -438,13 +427,16 @@ class CompiledSchema:
         The evolved artifact registers under its new fingerprint with
         this artifact's fingerprint appended to its :attr:`lineage`, so
         repeated edits form a traceable chain; an edit back to content
-        that is still registered returns that artifact.
+        that is still registered returns that artifact.  A stale
+        artifact (its schema mutated in place after compiling) has
+        nothing to patch from, so its edited copy is compiled cold.
         """
         size = cache_size if cache_size is not None else self.cache.maxsize
         with get_tracer().span("delta_apply", schema=self.schema.name) as span:
+            stale = self.is_stale()
             new_schema = self.schema.copy()
             new_schema.apply(delta)
-            if self._isa_acyclic and not self.is_stale():
+            if self._isa_acyclic and not stale:
                 new_schema.check_isa_additions(delta.added_isa_edges())
             else:
                 new_schema.validate()
@@ -453,9 +445,17 @@ class CompiledSchema:
             with _REGISTRY_LOCK:
                 evolved = _registry_get(key)
             if evolved is None:
-                evolved = self._evolve_incremental(
-                    new_schema, touched, delta.eviction_frontier(), size
-                )
+                if stale:
+                    # The schema changed under this artifact, so its
+                    # graph, closure and cache describe content the
+                    # copy no longer has: nothing of them can be kept.
+                    evolved = CompiledSchema(
+                        new_schema, self.order, self.domain_knowledge, size
+                    )
+                else:
+                    evolved = self._evolve_incremental(
+                        new_schema, touched, delta.eviction_frontier(), size
+                    )
                 evolved.lineage = self.lineage + (self.fingerprint,)
             evolved._isa_acyclic = True
             span.set(

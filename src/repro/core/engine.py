@@ -29,8 +29,6 @@ from ``lookup`` alone and hands only a miss's search to a worker, as
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import dataclasses
 
 from repro.algebra.order import PartialOrder
@@ -42,14 +40,9 @@ from repro.core.completion import CompletionResult
 from repro.core.domain import DomainKnowledge
 from repro.core.multi import complete_general
 from repro.core.parser import parse_path_expression
-from repro.core.procpool import process_batch, resolve_executor
 from repro.core.stats import TraversalStats
 from repro.core.target import ClassTarget, RelationshipTarget, Target
-from repro.errors import (
-    BudgetExceededError,
-    NoCompletionError,
-    PathExpressionError,
-)
+from repro.errors import BudgetExceededError, NoCompletionError
 from repro.model.schema import Schema
 from repro.obs.metrics import get_metrics
 from repro.obs.slowlog import get_slowlog, observing
@@ -366,10 +359,7 @@ class Disambiguator:
         return result
 
     def complete_batch(
-        self,
-        expressions: Iterable[str | PathExpression],
-        jobs: int = 1,
-        executor: str | None = None,
+        self, expressions: Iterable[str | PathExpression]
     ) -> BatchCompletionResult:
         """Complete a workload of expressions through the shared cache.
 
@@ -377,63 +367,17 @@ class Disambiguator:
         and the artifact's compile time, so benchmarks can report
         warm-vs-cold behavior directly.
 
-        ``jobs > 1`` runs the cache misses on a worker pool.  The
-        ``executor`` knob picks the backend (``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, then ``"thread"``):
-
-        ``"thread"``
-            Workers are threads; each runs in a copy of the submitting
-            thread's context, so an ambient budget
-            (:func:`repro.resilience.budget.use_budget`) or
-            metrics/tracer installation governs the workers exactly as
-            it would the sequential loop.  Cold completions are
-            GIL-bound pure-Python loops, so threads mostly interleave —
-            this backend wins on warm caches and tiny schemas where
-            pool start-up dominates.
-        ``"process"``
-            Cache misses are sharded across worker *processes* (see
-            :mod:`repro.core.procpool` for the hand-off protocol), so
-            cold batches scale with cores.  Warm hits are still served
-            from the shared parent cache, each worker's exhausted
-            results are adopted back into it, and truncated results
-            are never adopted.  When ambient state cannot cross the
-            pickle boundary (live tracer/audit/slow-log, a budget with
-            a cancel signal or injected clock) the call silently falls
-            back to the thread backend, preserving semantics.
-
-        Either way results come back in input order regardless of
-        completion order, and each expression is governed
-        independently — one input tripping its budget flags (or raises
-        for) that input alone; with ``partial_ok=False`` budgets the
-        exception surfacing is deterministic: the earliest failing
-        input in submission order wins.
+        Expressions run one after another, in input order, each
+        governed by its own budget meter: one input tripping its budget
+        flags (or raises for) that input alone, and with
+        ``partial_ok=False`` budgets the earliest failing input is the
+        one raised.
         """
-        executor = resolve_executor(executor)
-        expressions = list(expressions)
         hits_before = self.compiled.cache.hits
         misses_before = self.compiled.cache.misses
-        results: tuple[CompletionResult, ...] | None = None
-        if executor == "process" and jobs > 1 and len(expressions) > 1:
-            results = self._complete_batch_process(expressions, jobs)
-        if results is not None:
-            pass
-        elif jobs <= 1 or len(expressions) <= 1:
-            results = tuple(
-                self.complete(expression) for expression in expressions
-            )
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="repro-batch"
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        self.complete,
-                        expression,
-                    )
-                    for expression in expressions
-                ]
-                results = tuple(future.result() for future in futures)
+        results = tuple(
+            self.complete(expression) for expression in expressions
+        )
         stats = TraversalStats()
         for result in results:
             stats.add(result.stats)
@@ -441,62 +385,6 @@ class Disambiguator:
         stats.cache_misses = self.compiled.cache.misses - misses_before
         stats.compile_seconds = self.compiled.compile_seconds
         return BatchCompletionResult(results=results, stats=stats)
-
-    def _complete_batch_process(
-        self, expressions: list[str | PathExpression], jobs: int
-    ) -> tuple[CompletionResult, ...] | None:
-        """Run a batch on the process backend; ``None`` → thread fallback.
-
-        The parent parses every input first (parse errors are cheap and
-        :class:`~repro.errors.PathSyntaxError` is not picklable, so
-        they never cross the boundary — they join the outcome list at
-        their position and obey the same earliest-error policy), then
-        ships only the parseable texts to
-        :func:`repro.core.procpool.process_batch`.  On the way back it
-        adopts every worker's exhausted cache entries *before* raising
-        any error, so one failing input does not discard its siblings'
-        completed work.
-        """
-        budget = self._effective_budget(None)
-        outcomes: list[tuple | None] = [None] * len(expressions)
-        slots: list[int] = []
-        texts: list[str] = []
-        for position, expression in enumerate(expressions):
-            try:
-                if isinstance(expression, str):
-                    expression = parse_path_expression(expression)
-            except PathExpressionError as err:
-                outcomes[position] = ("err", err)
-                continue
-            slots.append(position)
-            texts.append(str(expression))
-        shipped = process_batch(self, texts, jobs, budget)
-        if shipped is None:
-            return None
-        for position, outcome in zip(slots, shipped):
-            outcomes[position] = outcome
-        metrics = get_metrics()
-        cache = self.compiled.cache
-        error: Exception | None = None
-        results: list[CompletionResult] = []
-        for outcome in outcomes:
-            assert outcome is not None
-            kind = outcome[0]
-            if kind == "err":
-                if error is None:
-                    error = outcome[1]
-                continue
-            result = outcome[1]
-            if kind == "ok":
-                for key, value in outcome[2]:
-                    cache.put(key, value)
-                metrics.record_completion(result.stats, cached=False)
-            else:  # parent-cache warm hit
-                metrics.record_completion(result.stats, cached=True)
-            results.append(result)
-        if error is not None:
-            raise error
-        return tuple(results)
 
     def complete_between(self, root: str, target_class: str) -> CompletionResult:
         """Class-to-class completion (the formalization's node target)."""

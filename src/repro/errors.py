@@ -239,13 +239,6 @@ class BudgetExceededError(ResilienceError):
         self.reason = reason
         self.partial = partial
 
-    def __reduce__(self):
-        # Exact pickle round-trip (the default would re-run __init__
-        # with the already-formatted message as ``reason``).  Budget
-        # trips cross the process boundary in the process-pool batch
-        # backend, where the parent re-raises the worker's exception.
-        return (type(self), (self.reason, self.partial))
-
 
 class InjectedFaultError(ResilienceError):
     """A deterministic fault injected by the chaos-testing harness.

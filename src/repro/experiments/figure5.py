@@ -47,7 +47,6 @@ def run_figure5(
     domain_knowledge: DomainKnowledge | None = None,
     continue_on_error: bool = False,
     retries: int = 0,
-    jobs: int = 1,
 ) -> Figure5Result:
     """Compute the average-recall-vs-E series."""
     points = sweep_e(
@@ -57,7 +56,6 @@ def run_figure5(
         domain_knowledge=domain_knowledge,
         continue_on_error=continue_on_error,
         retries=retries,
-        jobs=jobs,
     )
     return Figure5Result(points=tuple(points))
 

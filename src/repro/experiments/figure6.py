@@ -54,7 +54,6 @@ def run_figure6(
     e_values: tuple[int, ...] = (1, 2, 3, 4, 5),
     continue_on_error: bool = False,
     retries: int = 0,
-    jobs: int = 1,
 ) -> Figure6Result:
     """Compute both precision series."""
     without = sweep_e(
@@ -63,7 +62,6 @@ def run_figure6(
         e_values=e_values,
         continue_on_error=continue_on_error,
         retries=retries,
-        jobs=jobs,
     )
     with_dk = sweep_e(
         schema,
@@ -72,7 +70,6 @@ def run_figure6(
         domain_knowledge=domain_knowledge,
         continue_on_error=continue_on_error,
         retries=retries,
-        jobs=jobs,
     )
     return Figure6Result(
         without_dk=tuple(without),

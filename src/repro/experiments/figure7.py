@@ -83,7 +83,6 @@ def run_figure7(
     domain_knowledge: DomainKnowledge | None = None,
     continue_on_error: bool = False,
     retries: int = 0,
-    jobs: int = 1,
 ) -> Figure7Result:
     """Time every workload query at the paper's E=5 setting."""
     outcomes = run_workload(
@@ -93,7 +92,6 @@ def run_figure7(
         domain_knowledge=domain_knowledge,
         continue_on_error=continue_on_error,
         retries=retries,
-        jobs=jobs,
     )
     timings = [
         QueryTiming(

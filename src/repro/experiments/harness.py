@@ -13,7 +13,6 @@ import dataclasses
 from repro.core.compiled import CompiledSchema, compile_schema
 from repro.core.domain import DomainKnowledge
 from repro.core.engine import Disambiguator
-from repro.core.parallel import prewarm
 from repro.errors import ReproError
 from repro.experiments.metrics import average, precision, recall
 from repro.experiments.oracle import DesignerOracle, WorkloadQuery
@@ -91,7 +90,6 @@ def run_workload(
     compiled: CompiledSchema | None = None,
     continue_on_error: bool = False,
     retries: int = 0,
-    jobs: int = 1,
 ) -> list[QueryOutcome]:
     """Run every workload query once and score it against the oracle.
 
@@ -99,14 +97,6 @@ def run_workload(
     cache makes repeated runs warm); without it the engine compiles
     through the memoized registry, so repeated runs over an unchanged
     schema still share one artifact.
-
-    ``jobs > 1`` runs the cold completions on a thread pool up front
-    (:func:`repro.core.parallel.prewarm`), then scores the outcomes from
-    the warm cache in workload order.  Scores and reported per-query
-    stats are unchanged: a cached result carries the counters of the
-    cold run that produced it, and a query failing during the warm-up
-    re-raises at its usual place in the loop with the usual
-    retry/continue-on-error handling.
 
     A query raising a :class:`~repro.errors.ReproError` is retried up to
     ``retries`` more times (transient faults — an injected chaos fault,
@@ -121,13 +111,8 @@ def run_workload(
     metrics = get_metrics()
     outcomes: list[QueryOutcome] = []
     with get_tracer().span(
-        "workload",
-        e=e,
-        knowledge=domain_knowledge is not None,
-        jobs=jobs,
+        "workload", e=e, knowledge=domain_knowledge is not None
     ) as span:
-        if jobs > 1:
-            prewarm(engine, (query.text for query in oracle), jobs)
         for query in oracle:
             result = None
             failure: ReproError | None = None
@@ -197,13 +182,12 @@ def sweep_e(
     compiled: CompiledSchema | None = None,
     continue_on_error: bool = False,
     retries: int = 0,
-    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Run the workload across E settings (the Figures 5/6 x-axis).
 
     The schema is compiled exactly once for the whole sweep; E is part
     of every completion cache key, so the points coexist in one cache.
-    ``continue_on_error``/``retries``/``jobs`` pass through to
+    ``continue_on_error``/``retries`` pass through to
     :func:`run_workload`.
     """
     if compiled is None:
@@ -218,7 +202,6 @@ def sweep_e(
             compiled=compiled,
             continue_on_error=continue_on_error,
             retries=retries,
-            jobs=jobs,
         )
         points.append(
             SweepPoint(

@@ -59,16 +59,11 @@ def run_all(
     quick: bool = False,
     out=sys.stdout,
     csv_dir: str | None = None,
-    jobs: int = 1,
 ) -> None:
     """Run every experiment, streaming the report to ``out``.
 
     With ``csv_dir`` set, the Figure 5/6/7 series are also exported as
     CSV files into that directory (created if needed).
-
-    ``jobs > 1`` runs each figure workload's cold completions on a
-    thread pool (see :func:`repro.experiments.harness.run_workload`);
-    every reported number is unchanged.
 
     The whole run records into a :mod:`repro.obs` metrics registry (the
     ambient one if a caller installed one, a fresh one otherwise) and
@@ -79,7 +74,7 @@ def run_all(
     if registry.is_noop:
         registry = MetricsRegistry()
     with use_metrics(registry):
-        _run_all_inner(quick=quick, out=out, csv_dir=csv_dir, jobs=jobs)
+        _run_all_inner(quick=quick, out=out, csv_dir=csv_dir)
     slowlog = get_slowlog()
     if slowlog.enabled and len(slowlog.entries()) > 0:
         print(_banner("Slow queries (tail-based log)"), file=out)
@@ -99,7 +94,6 @@ def _run_all_inner(
     quick: bool = False,
     out=sys.stdout,
     csv_dir: str | None = None,
-    jobs: int = 1,
 ) -> None:
     started = time.perf_counter()
     schema = build_cupid_schema()
@@ -181,7 +175,6 @@ def _run_all_inner(
             e_values,
             continue_on_error=True,
             retries=_QUERY_RETRIES,
-            jobs=jobs,
         )
         for point in result.points:
             harvest("figure5", point.outcomes)
@@ -200,7 +193,6 @@ def _run_all_inner(
             e_values,
             continue_on_error=True,
             retries=_QUERY_RETRIES,
-            jobs=jobs,
         )
         for point in result.without_dk + result.with_dk:
             harvest("figure6", point.outcomes)
@@ -218,7 +210,6 @@ def _run_all_inner(
             e=figure7_e,
             continue_on_error=True,
             retries=_QUERY_RETRIES,
-            jobs=jobs,
         )
         harvest("figure7", result.outcomes)
         print(render_figure7(result), file=out)
@@ -446,19 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="also export the figure series as CSV files",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for cold workload completions",
-    )
     arguments = parser.parse_args(argv)
-    run_all(
-        quick=arguments.quick,
-        csv_dir=arguments.csv_dir,
-        jobs=arguments.jobs,
-    )
+    run_all(quick=arguments.quick, csv_dir=arguments.csv_dir)
     return 0
 
 

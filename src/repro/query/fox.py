@@ -38,9 +38,8 @@ from collections.abc import Callable
 from repro.core.ast import PathExpression
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
-from repro.core.parallel import prewarm
 from repro.core.parser import parse_path_expression
-from repro.errors import NoCompletionError, QuerySyntaxError, ReproError
+from repro.errors import NoCompletionError, QuerySyntaxError
 from repro.model.instances import Database, DBObject
 from repro.obs.slowlog import get_slowlog
 from repro.obs.tracer import get_tracer
@@ -256,7 +255,6 @@ def run_fox(
     text: str,
     engine: Disambiguator | None = None,
     compiled: "CompiledSchema | None" = None,
-    jobs: int = 1,
 ) -> list[FoxRow]:
     """Parse and run a fox query against a database.
 
@@ -266,46 +264,13 @@ def run_fox(
     queries; without it the default engine still compiles through the
     memoized registry, so repeated ``run_fox`` calls over an unchanged
     schema share state anyway.
-
-    ``jobs > 1`` disambiguates the query's path texts (selections and
-    condition paths) concurrently up front, so the per-binding
-    evaluation loop runs against a warm completion cache; rows and
-    their order are unaffected.
     """
     # The slow-log observation wraps the whole evaluation: a retained
     # fox query keeps its parse/evaluate span tree and row count.
     with get_slowlog().observe("fox", text) as obs:
-        rows = _run_fox_observed(database, text, engine, compiled, jobs)
+        rows = _run_fox_observed(database, text, engine, compiled)
         obs.set(rows=len(rows))
         return rows
-
-
-def _prewarm_paths(
-    query: FoxQuery, evaluator: "_PathEvaluator", jobs: int
-) -> int:
-    """Warm the completion cache for every path text the query names.
-
-    Unparseable or uncompletable paths are skipped here — the
-    evaluation loop reaches them in its usual order and raises (or
-    filters) exactly as it would sequentially.
-    """
-    texts = [
-        comparison.path_text
-        for comparison in (
-            query.condition.comparisons() if query.condition else []
-        )
-    ]
-    texts.extend(query.selections)
-    expressions = []
-    for path_text in dict.fromkeys(texts):
-        try:
-            expression = evaluator._substitute_variable(path_text)
-        except ReproError:
-            continue
-        if not expression.steps:
-            continue  # a bare variable reference needs no completion
-        expressions.append(expression)
-    return prewarm(evaluator.engine, expressions, jobs)
 
 
 def _run_fox_observed(
@@ -313,7 +278,6 @@ def _run_fox_observed(
     text: str,
     engine: Disambiguator | None,
     compiled: "CompiledSchema | None",
-    jobs: int = 1,
 ) -> list[FoxRow]:
     tracer = get_tracer()
     with tracer.span("fox", query=text) as span:
@@ -325,9 +289,6 @@ def _run_fox_observed(
                 compiled if compiled is not None else database.schema
             )
         evaluator = _PathEvaluator(database, query, engine)
-        if jobs > 1:
-            with tracer.span("prewarm", jobs=jobs) as warm_span:
-                warm_span.set(warmed=_prewarm_paths(query, evaluator, jobs))
 
         rows: list[FoxRow] = []
         bindings = sorted(

@@ -16,8 +16,6 @@ completion (the Figure 1 loop with an implicit approve-all).
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import dataclasses
 import re
 from collections.abc import Callable
@@ -136,15 +134,13 @@ def run_query(
     text: str,
     engine: Disambiguator | None = None,
     compiled: "CompiledSchema | None" = None,
-    jobs: int = 1,
 ) -> QueryResult:
     """Parse, complete (if needed), evaluate, and filter a query.
 
     Pass ``compiled`` to share one compilation artifact (and completion
-    cache) across many queries over the same schema.  ``jobs > 1``
-    evaluates the approved completions against the instance store on a
-    thread pool (each path's evaluation is independent); the
-    per-completion result order is the completion ranking either way.
+    cache) across many queries over the same schema.  Completions are
+    evaluated in ranking order, which is the per-completion result
+    order.
     """
     tracer = get_tracer()
     with tracer.span("query", query=text) as span:
@@ -156,28 +152,15 @@ def run_query(
             )
         completion = engine.complete(query.path_text)
 
-        def evaluate_one(path) -> frozenset:
-            results = evaluate(database, path)
-            return frozenset(
-                value for value in results if query.matches(value)
-            )
-
-        with tracer.span("evaluate", paths=len(completion.paths), jobs=jobs):
-            if jobs > 1 and len(completion.paths) > 1:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=jobs, thread_name_prefix="repro-query"
-                ) as pool:
-                    futures = [
-                        pool.submit(
-                            contextvars.copy_context().run,
-                            evaluate_one,
-                            path,
-                        )
-                        for path in completion.paths
-                    ]
-                    values = [future.result() for future in futures]
-            else:
-                values = [evaluate_one(path) for path in completion.paths]
+        with tracer.span("evaluate", paths=len(completion.paths)):
+            values = [
+                frozenset(
+                    value
+                    for value in evaluate(database, path)
+                    if query.matches(value)
+                )
+                for path in completion.paths
+            ]
         per_completion = [
             (str(path), filtered)
             for path, filtered in zip(completion.paths, values)

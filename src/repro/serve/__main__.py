@@ -99,15 +99,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="engine worker threads (default 4)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool backend for boot-time prewarm fan-out "
-        "('process' shards cold prewarms across cores; the "
-        "per-request pool is always threads — request budgets carry "
-        "the drain clock and cancel signal)",
-    )
-    parser.add_argument(
         "--default-deadline-ms",
         type=float,
         default=1000.0,
@@ -205,7 +196,6 @@ def build_tier(args: argparse.Namespace) -> ServingTier:
         port=args.port,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        executor=args.executor,
         default_deadline_ms=args.default_deadline_ms,
         max_deadline_ms=args.max_deadline_ms,
         default_max_nodes=args.max_nodes,
@@ -255,12 +245,7 @@ def build_tier(args: argparse.Namespace) -> ServingTier:
             f"--prewarm names unknown tenant(s): {', '.join(unknown)}"
         )
     for name, expressions in sorted(warm.items()):
-        warmed = prewarm_tenant(
-            registry.get(name),
-            expressions,
-            jobs=config.workers,
-            executor=config.executor,
-        )
+        warmed = prewarm_tenant(registry.get(name), expressions)
         print(
             f"prewarmed {warmed}/{len(expressions)} expression(s) "
             f"for tenant {name!r}",

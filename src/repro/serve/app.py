@@ -667,7 +667,6 @@ class ServingTier:
                 "pending": self._pending,
                 "queue_limit": self.config.queue_limit,
                 "workers": self.config.workers,
-                "executor": self.config.executor,
                 "drain_hard_at": self._drain_hard_at,
                 "drain_cancelled": self._drain_cancel.cancelled,
             },
@@ -882,9 +881,6 @@ class ServingTier:
         text = payload.get("query")
         if not isinstance(text, str) or not text.strip():
             raise HttpError(400, "'query' must be a non-empty string")
-        jobs = payload.get("jobs", 1)
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise HttpError(400, "'jobs' must be a positive integer")
         tenant = self._resolve_tenant(payload)
         if tenant.database is None:
             raise HttpError(
@@ -897,7 +893,7 @@ class ServingTier:
         def run(span):
             with get_tracer().adopt(span):
                 return run_query(
-                    tenant.database, text, engine=tenant.engine(1), jobs=jobs
+                    tenant.database, text, engine=tenant.engine(1)
                 )
 
         cache = tenant.compiled.cache

@@ -128,11 +128,10 @@ class ServeClient:
         self,
         text: str,
         tenant: str | None = None,
-        jobs: int = 1,
         deadline_ms: float | None = None,
     ) -> ServerResponse:
         """``POST /v1/query`` against a tenant with a database."""
-        payload: dict = {"query": text, "jobs": jobs}
+        payload: dict = {"query": text}
         if tenant is not None:
             payload["tenant"] = tenant
         headers = {}

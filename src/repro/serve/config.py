@@ -18,7 +18,6 @@ import dataclasses
 import time
 from collections.abc import Callable, Mapping
 
-from repro.core.procpool import EXECUTOR_MODES
 from repro.resilience.budget import Budget, CancelSignal
 
 __all__ = ["ServeConfig"]
@@ -48,14 +47,6 @@ class ServeConfig:
         searches.  A warm hit is answered on the event loop and never
         uses a worker.  Offloaded work beyond this waits in the
         (bounded) queue.
-    executor:
-        Worker-pool backend for *boot-time prewarm* fan-out:
-        ``"thread"`` (default) or ``"process"`` (shards cold prewarm
-        completions across cores, see :mod:`repro.core.procpool`).
-        The per-request pool is always threads regardless — every
-        admitted request's budget carries the server's drain clock and
-        cancel signal, which cannot cross a process boundary (that is
-        exactly the process backend's documented fallback condition).
     default_deadline_ms, max_deadline_ms:
         Wall-clock budget applied to a request that names none, and the
         ceiling a request-supplied ``X-Deadline-Ms`` is clamped to.
@@ -114,7 +105,6 @@ class ServeConfig:
     port: int = 0
     queue_limit: int = 16
     workers: int = 4
-    executor: str = "thread"
     default_deadline_ms: float = 1000.0
     max_deadline_ms: float = 10_000.0
     default_max_nodes: int | None = None
@@ -140,11 +130,6 @@ class ServeConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.executor not in EXECUTOR_MODES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_MODES}, "
-                f"got {self.executor!r}"
-            )
         if self.default_deadline_ms <= 0 or self.max_deadline_ms <= 0:
             raise ValueError("deadlines must be positive")
         if self.default_deadline_ms > self.max_deadline_ms:

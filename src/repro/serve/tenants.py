@@ -247,8 +247,6 @@ def prewarm_tenant(
     expressions: Iterable[str],
     e: int = 1,
     policy: RetryPolicy | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
 ) -> int:
     """Warm a tenant's completion cache, retrying transient faults.
 
@@ -259,26 +257,11 @@ def prewarm_tenant(
     (bad expression, no completion) are *not* retried — the live
     request will surface them with full context.  Returns how many
     expressions ended up warm; never raises.
-
-    ``jobs > 1`` with ``executor="process"`` shards the cold prewarms
-    across worker processes first (:func:`repro.core.parallel.prewarm`);
-    the sequential retry loop then covers only what the fan-out left
-    cold, so fault-retry semantics are preserved for the remainder.
     """
     policy = policy if policy is not None else RetryPolicy()
     engine = tenant.engine(e)
     warmed = 0
     metrics = get_metrics()
-    expressions = list(dict.fromkeys(expressions))
-    if jobs > 1:
-        from repro.core.parallel import prewarm as parallel_prewarm
-
-        try:
-            parallel_prewarm(engine, expressions, jobs, executor=executor)
-        except Exception:
-            # Prewarming is best-effort by contract; the sequential
-            # retry loop below still covers every expression.
-            metrics.counter("serve.prewarm_pool_failures").inc()
 
     def count_retry(attempt: int, error: BaseException, delay: float) -> None:
         metrics.counter("serve.prewarm_retries").inc()

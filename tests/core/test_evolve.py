@@ -28,6 +28,7 @@ from repro.model.relationships import Relationship
 from repro.model.schema import Schema
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.schemas.university import build_university_schema
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +99,26 @@ class TestEvolveSemantics:
         assert evolved.caution_sets is compiled.caution_sets
         assert evolved.order_key == compiled.order_key
         assert evolved.knowledge_key == compiled.knowledge_key
+
+    def test_stale_parent_compiles_the_edited_copy_cold(self):
+        # The parent's schema gains an attribute after compiling; evolve
+        # must not patch the old graph snapshot, nor publish its closure
+        # under the edited schema's fingerprint for later compiles.
+        schema = build_university_schema()
+        compiled = compile_schema(schema)
+        schema.add_attribute("person", "zz_nick")
+        assert compiled.is_stale()
+        evolved = compiled.evolve(SchemaDelta.of(AddClass("x")))
+        expected = [
+            "ta@>grad@>student@>person.zz_nick",
+            "ta@>instructor@>teacher@>employee@>person.zz_nick",
+        ]
+        answer = Disambiguator(evolved).complete("ta ~ zz_nick")
+        assert [str(path) for path in answer.paths] == expected
+        assert evolved.lineage == (compiled.fingerprint,)
+        later = CompiledSchema(evolved.schema.copy())
+        answer = Disambiguator(later).complete("ta ~ zz_nick")
+        assert [str(path) for path in answer.paths] == expected
 
     def test_isa_cycle_rejected_before_compiling(self):
         schema = Schema("cycle")

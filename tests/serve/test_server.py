@@ -166,6 +166,12 @@ class TestQuery:
             assert response.status == 200
             assert response.json["completions"]
             assert isinstance(response.json["values"], list)
+            # A retired 'jobs' field is ignored like any unknown field.
+            legacy = client._retrying_request(
+                "POST", "/v1/query", {"query": "get ta ~ name", "jobs": 0}
+            )
+            assert legacy.status == 200
+            assert legacy.json["completions"] == response.json["completions"]
         finally:
             tier.stop(drain=False)
 
