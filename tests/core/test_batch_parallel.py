@@ -1,18 +1,20 @@
-"""Parallel ``complete_batch``: same answers, overlapping cold work.
+"""``complete_batch``: the contracts the batch pools used to share.
 
-``jobs > 1`` only changes *when* cold completions run, never what they
-return — results come back in input order, byte-identical to the
-sequential loop, and one input's budget trip must not leak into its
-siblings.
+A batch runs its inputs one after another on the calling thread.  The
+test and class names date from the thread and process batch pools; the
+contracts they check still hold for the sequential batch — results come
+back in input order, byte-identical to completing each input alone,
+warm inputs are the cached objects, and one input's budget trip must
+not leak into its siblings.
 """
 
 import pytest
 
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
-from repro.core.parallel import prewarm
 from repro.errors import BudgetExceededError
 from repro.resilience.budget import Budget, use_budget
+from repro.serve.tenants import Tenant, prewarm_tenant
 
 WORKLOAD = [
     "experiment ~ conductance",
@@ -37,27 +39,28 @@ def _snapshots(batch):
 class TestParallelEquivalence:
     @pytest.mark.parametrize("e", [1, 3])
     def test_jobs4_matches_sequential(self, cupid, e):
-        sequential = Disambiguator(CompiledSchema(cupid), e=e)
-        parallel = Disambiguator(CompiledSchema(cupid), e=e)
-        expected = sequential.complete_batch(WORKLOAD)
-        actual = parallel.complete_batch(WORKLOAD, jobs=4)
+        """A batch answers exactly what completing each input alone,
+        on an engine of its own, answers."""
+        alone = Disambiguator(CompiledSchema(cupid), e=e)
+        batched = Disambiguator(CompiledSchema(cupid), e=e)
+        expected = [alone.complete(text) for text in WORKLOAD]
+        actual = batched.complete_batch(WORKLOAD)
         assert _snapshots(actual) == _snapshots(expected)
 
     def test_results_keep_input_order(self, cupid):
         engine = Disambiguator(CompiledSchema(cupid))
-        batch = engine.complete_batch(WORKLOAD, jobs=4)
+        batch = engine.complete_batch(WORKLOAD)
         assert len(batch) == len(WORKLOAD)
         for text, result in zip(WORKLOAD, batch):
             root = text.split("~")[0].strip()
             assert result.root == root
+        # The duplicate is a warm hit on the first one's cached answer.
+        assert batch.results[4] is batch.results[0]
 
     def test_parallel_hits_the_shared_cache(self, cupid):
         engine = Disambiguator(CompiledSchema(cupid))
-        # Sequential cold fill: each result below is *the* cached object
-        # (a parallel cold fill may compute a duplicate twice, and the
-        # loser of the cache race is a distinct, equal object).
         cold = engine.complete_batch(WORKLOAD)
-        warm = engine.complete_batch(WORKLOAD, jobs=4)
+        warm = engine.complete_batch(WORKLOAD)
         # Warm hits return the very objects the cold run cached —
         # byte-identical by construction.
         for cold_result, warm_result in zip(cold, warm):
@@ -67,9 +70,10 @@ class TestParallelEquivalence:
 
     def test_single_input_skips_the_pool(self, cupid):
         engine = Disambiguator(CompiledSchema(cupid))
-        batch = engine.complete_batch(["experiment ~ conductance"], jobs=8)
+        batch = engine.complete_batch(["experiment ~ conductance"])
         assert len(batch) == 1
         assert batch.results[0].exhausted
+        assert batch.stats.cache_misses == 1
 
 
 class TestBudgetIsolation:
@@ -90,8 +94,7 @@ class TestBudgetIsolation:
                 "simulation ~ name",
                 "experiment ~ conductance",
                 "output_spec ~ name",
-            ],
-            jobs=3,
+            ]
         )
         tripped = [result.is_partial for result in batch]
         assert tripped[0] is False
@@ -102,39 +105,37 @@ class TestBudgetIsolation:
         assert len(engine.compiled.cache) == 2
 
     def test_ambient_budget_reaches_the_workers(self, cupid):
+        """An ambient budget arms a fresh meter for every input."""
         engine = Disambiguator(CompiledSchema(cupid), e=3, pruning="closure")
         with use_budget(Budget(max_nodes=400, partial_ok=True)):
             batch = engine.complete_batch(
-                ["experiment ~ conductance", "simulation ~ name"], jobs=2
+                ["experiment ~ conductance", "simulation ~ name"]
             )
         assert batch.results[0].is_partial
         assert batch.results[1].exhausted
 
     def test_raising_policy_surfaces_deterministically(self, cupid):
+        compiled = CompiledSchema(cupid)
         engine = Disambiguator(
-            CompiledSchema(cupid),
+            compiled,
             e=3,
             budget=Budget(max_nodes=400),  # partial_ok=False
             pruning="closure",
         )
-        with pytest.raises(BudgetExceededError):
-            engine.complete_batch(
-                ["simulation ~ name", "experiment ~ conductance"], jobs=2
-            )
+        for _ in range(2):  # the same input raises on every run
+            with pytest.raises(BudgetExceededError) as excinfo:
+                engine.complete_batch(
+                    ["simulation ~ name", "experiment ~ conductance"]
+                )
+            assert excinfo.value.partial.root == "experiment"
+        assert len(compiled.cache) == 1  # the sibling before it
 
 
 class TestPrewarm:
     def test_fills_the_cache_and_skips_failures(self, cupid):
-        engine = Disambiguator(CompiledSchema(cupid))
-        warmed = prewarm(
-            engine,
-            ["experiment ~ conductance", "no_such_class ~ name"],
-            jobs=2,
+        tenant = Tenant("cupid", CompiledSchema(cupid))
+        warmed = prewarm_tenant(
+            tenant, ["experiment ~ conductance", "no_such_class ~ name"]
         )
         assert warmed == 1
-        assert len(engine.compiled.cache) == 1
-
-    def test_sequential_jobs_is_a_noop(self, cupid):
-        engine = Disambiguator(CompiledSchema(cupid))
-        assert prewarm(engine, ["experiment ~ conductance"], jobs=1) == 0
-        assert len(engine.compiled.cache) == 0
+        assert len(tenant.compiled.cache) == 1

@@ -324,12 +324,6 @@ class TestBatchAndStats:
         assert warm.stats.cache_misses == 0
         assert warm.expressions == cold.expressions
         assert warm.stats.compile_seconds == engine.compiled.compile_seconds
-        # Results keep input order, and a warm hit returns the very
-        # object the cold pass cached.
-        assert [result.root for result in cold] == ["ta", "department", "ta"]
-        assert cold.results[2] is cold.results[0]
-        for cold_result, warm_result in zip(cold, warm):
-            assert warm_result is cold_result
 
     def test_cache_info_round_trip(self):
         engine = Disambiguator(CompiledSchema(build_university_schema()))

@@ -218,79 +218,6 @@ class TestEngineLadder:
         assert warm is cold
 
 
-class TestBatchBudgets:
-    """``complete_batch`` arms a fresh meter per input.  The node caps
-    are calibrated to closure-mode costs, so the mode is pinned."""
-
-    def test_one_trip_does_not_poison_siblings(self, cupid):
-        # A cap the small queries fit comfortably but the heavy one
-        # cannot at any rung of the degradation ladder (closure-pruned
-        # it still needs ~700 expansions at E=1).
-        engine = Disambiguator(
-            CompiledSchema(cupid),
-            e=3,
-            budget=Budget(max_nodes=400, partial_ok=True),
-            pruning="closure",
-        )
-        batch = engine.complete_batch(
-            [
-                "simulation ~ name",
-                "experiment ~ conductance",
-                "output_spec ~ name",
-            ]
-        )
-        assert [result.is_partial for result in batch] == [False, True, False]
-        # The exhausted siblings are cached, the partial is not.
-        assert len(engine.compiled.cache) == 2
-
-    def test_per_input_budget_isolation(self, cupid):
-        """An ambient budget that truncates the expensive query must not
-        bleed into (or starve) the cheap one after it."""
-        compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=3, pruning="closure")
-        cheap = Disambiguator(CompiledSchema(cupid), e=3, pruning="closure")
-        nodes_for_cheap = (
-            cheap.complete("site ~ name").stats.recursive_calls + 2
-        )
-        with use_budget(Budget(max_nodes=nodes_for_cheap, partial_ok=True)):
-            heavy, light = engine.complete_batch(
-                ["experiment ~ conductance", "site ~ name"]
-            )
-        assert not heavy.exhausted
-        assert light.exhausted
-        assert len(compiled.cache) == 1  # only the exhausted answer
-
-    def test_raising_policy_raises_for_the_failing_input(self, cupid):
-        compiled = CompiledSchema(cupid)
-        engine = Disambiguator(
-            compiled,
-            e=3,
-            budget=Budget(max_nodes=400),  # partial_ok=False
-            pruning="closure",
-        )
-        with pytest.raises(BudgetExceededError) as excinfo:
-            engine.complete_batch(
-                ["simulation ~ name", "experiment ~ conductance"]
-            )
-        assert excinfo.value.partial.root == "experiment"
-        assert len(compiled.cache) == 1  # the sibling before it
-
-    def test_budgeted_batch_never_caches_truncation(self, cupid):
-        compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=2)
-        with use_budget(Budget(max_nodes=5, partial_ok=True)):
-            batch = engine.complete_batch(
-                ["experiment ~ conductance", "experiment ~ temperature"]
-            )
-        exhausted = [result.exhausted for result in batch]
-        assert not all(exhausted)
-        assert len(compiled.cache) == sum(exhausted)
-        # A later unbudgeted run completes fully and is cached.
-        full = engine.complete_batch(["experiment ~ conductance"])
-        assert full.results[0].exhausted
-        assert len(compiled.cache) >= 1
-
-
 class TestGeneralExpressions:
     def test_trip_in_final_segment_keeps_candidates(self, university):
         compiled = CompiledSchema(university)

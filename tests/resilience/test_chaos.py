@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
-from repro.errors import PathSyntaxError, ReproError
+from repro.errors import ReproError
 from repro.experiments.harness import run_workload
 from repro.experiments.workload import build_cupid_workload
 from repro.query.session import CompletionSession
@@ -23,9 +23,6 @@ from repro.resilience.budget import Budget, use_budget
 from repro.resilience.faults import FakeClock, FaultPlan, inject
 
 SEEDS = (0, 1, 2, 7, 1994)
-
-#: The batch storms run a subset: each pass completes four queries.
-BATCH_SEEDS = (0, 1, 7)
 
 
 def _assert_cache_is_clean(compiled):
@@ -109,86 +106,6 @@ class TestChaosCompletions:
         assert result.is_partial
         assert result.truncation_reason == "deadline"
         _assert_cache_is_clean(compiled)
-
-
-class TestChaosBatch:
-    """``complete_batch`` keeps the single-completion contract: typed
-    faults, a clean cache, the earliest failing input raised, and
-    reference answers once a storm clears."""
-
-    QUERIES = [
-        "ta ~ name",
-        "student.take.teacher",
-        "student ~ dept",
-        "teacher ~ name",
-    ]
-
-    @pytest.mark.parametrize("seed", BATCH_SEEDS)
-    def test_batch_faults_are_typed_and_cache_stays_clean(
-        self, university, seed
-    ):
-        compiled = CompiledSchema(university)
-        plan = FaultPlan(seed=seed, edge_fail_rate=0.2)
-        survived = failed = 0
-        with inject(compiled, plan):
-            # Engines bind their searcher at construction: build inside
-            # the injection so the faulty graph governs the traversals.
-            engine = Disambiguator(compiled)
-            for _ in range(8):
-                try:
-                    batch = engine.complete_batch(self.QUERIES)
-                    assert len(batch.results) == len(self.QUERIES)
-                    survived += 1
-                except ReproError:
-                    failed += 1
-                _assert_cache_is_clean(compiled)
-        assert survived + failed == 8
-        _assert_cache_is_clean(compiled)
-
-    @pytest.mark.parametrize("seed", BATCH_SEEDS)
-    def test_batch_matches_reference_after_storm(self, university, seed):
-        compiled = CompiledSchema(university)
-        plan = FaultPlan(
-            seed=seed,
-            edge_fail_rate=0.3,
-            cache_miss_rate=0.5,
-            cache_drop_rate=0.5,
-        )
-        with inject(compiled, plan):
-            storm_engine = Disambiguator(compiled)
-            for _ in range(5):
-                try:
-                    storm_engine.complete_batch(self.QUERIES)
-                except ReproError:
-                    pass
-        # Storm over: a fresh engine on the restored artifact answers
-        # byte-identically to a private fault-free engine.
-        reference = Disambiguator(CompiledSchema(university))
-        batch = Disambiguator(compiled).complete_batch(self.QUERIES)
-        for query, result in zip(self.QUERIES, batch.results):
-            assert [str(p) for p in result.paths] == [
-                str(p) for p in reference.complete(query).paths
-            ]
-            assert result.exhausted
-        _assert_cache_is_clean(compiled)
-
-    def test_batch_raises_earliest_failing_input(self, university):
-        engine = Disambiguator(CompiledSchema(university))
-        inputs = [
-            "ta ~ name",
-            "zzz_first_bad ~ nope",
-            "~~~nonsense~~~",
-            "zzz_second_bad ~ nope",
-        ]
-        for _ in range(3):  # deterministic across repeats
-            with pytest.raises(ReproError) as exc:
-                engine.complete_batch(inputs)
-            assert "zzz_first_bad" in str(exc.value)
-        # A syntax error raises with its own type when it comes first.
-        with pytest.raises(PathSyntaxError):
-            engine.complete_batch(
-                ["ta ~ name", "~~~nonsense~~~", "zzz_first_bad ~ nope"]
-            )
 
 
 class TestChaosSession:

@@ -1,40 +1,36 @@
-"""Chaos for the parallel completion paths.
+"""Chaos for batch completion and prewarm.
 
-:meth:`Disambiguator.complete_batch` with ``jobs > 1`` and
-:func:`repro.core.parallel.prewarm` fan completions out on thread
-pools; faults injected into the shared artifact must keep the same
-contract the sequential path keeps:
+:meth:`Disambiguator.complete_batch` and
+:func:`repro.serve.tenants.prewarm_tenant` run many completions against
+one shared artifact; faults injected into it must keep the contract a
+single completion keeps:
 
 * per-input isolation — one input's fault never corrupts another
   input's answer;
 * deterministic surfacing — ``complete_batch`` raises the earliest
-  failing input in submission order, not whichever thread lost a race;
+  failing input in submission order;
 * the shared completion cache never holds a truncated result;
 * once the faults clear, answers are byte-identical to a fault-free
   engine's.
 
-The non-fault contracts run as an executor matrix — ``"thread"`` and
-``"process"`` backends must be indistinguishable.  The fault-injection
-tests stay thread-only by design: an injected ``FaultyGraph`` wraps the
-parent's artifact in place and cannot follow a ``WorkerSpec`` across
-the pickle boundary (workers recompile from the schema, which has no
-faults), so a process batch under injection would simply not observe
-the storm.
+The test names date from the thread and process batch pools; every
+batch now runs sequentially.
 """
+
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.compiled import CompiledSchema, invalidate
 from repro.core.engine import Disambiguator
-from repro.core.parallel import prewarm
 from repro.errors import InjectedFaultError, ReproError
 from repro.resilience.budget import Budget, use_budget
 from repro.resilience.faults import FaultPlan, inject
+from repro.resilience.retry import RetryPolicy
+from repro.serve.tenants import Tenant, prewarm_tenant
 
 SEEDS = (0, 1, 7)
-
-#: The non-fault contracts run against both pool backends.
-EXECUTORS = ("thread", "process")
 
 QUERIES = [
     "ta ~ name",
@@ -43,11 +39,25 @@ QUERIES = [
     "teacher ~ name",
 ]
 
+#: Retry a fault once, without sleeping.
+FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, seed=0)
+
 
 def _assert_cache_is_clean(compiled):
     cache = getattr(compiled.cache, "_cache", compiled.cache)
     for value in cache._data.values():
         assert value.exhausted, value.truncation_reason
+
+
+def _run_batch_on(where, engine, inputs):
+    """Run a batch on the caller's thread, or on a worker thread in a
+    copy of the caller's context as the serving tier's miss executor
+    does."""
+    if where == "caller":
+        return engine.complete_batch(inputs)
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(context.run, engine.complete_batch, inputs).result()
 
 
 class TestBatchUnderFaults:
@@ -64,7 +74,7 @@ class TestBatchUnderFaults:
             engine = Disambiguator(compiled)
             for _ in range(8):
                 try:
-                    batch = engine.complete_batch(QUERIES, jobs=4)
+                    batch = engine.complete_batch(QUERIES)
                     assert len(batch.results) == len(QUERIES)
                     survived += 1
                 except ReproError:
@@ -88,14 +98,14 @@ class TestBatchUnderFaults:
             storm_engine = Disambiguator(compiled)
             for _ in range(5):
                 try:
-                    storm_engine.complete_batch(QUERIES, jobs=4)
+                    storm_engine.complete_batch(QUERIES)
                 except ReproError:
                     pass
         # Storm over: a fresh engine on the restored artifact answers
         # byte-identically to a private fault-free engine.
         reference = Disambiguator(CompiledSchema(university))
         engine = Disambiguator(compiled)
-        batch = engine.complete_batch(QUERIES, jobs=4)
+        batch = engine.complete_batch(QUERIES)
         for query, result in zip(QUERIES, batch.results):
             expected = reference.complete(query)
             assert [str(p) for p in result.paths] == [
@@ -104,13 +114,7 @@ class TestBatchUnderFaults:
             assert result.exhausted
         _assert_cache_is_clean(compiled)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_batch_raises_earliest_failing_input_in_order(
-        self, university, executor
-    ):
-        """Submission order, not worker-completion order, decides which
-        exception a failing parallel batch surfaces — identically on
-        both pool backends."""
+    def test_batch_raises_earliest_failing_input_in_order(self, university):
         compiled = CompiledSchema(university)
         engine = Disambiguator(compiled)
         # Two invalid expressions among valid ones: the first invalid
@@ -123,59 +127,58 @@ class TestBatchUnderFaults:
         ]
         for _ in range(4):  # deterministic across repeats
             with pytest.raises(ReproError) as exc:
-                engine.complete_batch(inputs, jobs=4, executor=executor)
+                engine.complete_batch(inputs)
             assert "zzz_first_bad" in str(exc.value)
             assert "zzz_second_bad" not in str(exc.value)
+        _assert_cache_is_clean(compiled)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_budgeted_parallel_batch_never_caches_truncation(
-        self, cupid, seed, executor
+        self, cupid, seed
     ):
-        """Tiny ambient node budgets under jobs=4: whatever trips, no
-        truncated result may land in the shared cache — on either pool
-        backend (workers rebuild the budget from its shipped limits)."""
-        # Forked workers inherit the parent's compile registry; a
-        # warm inherited cache would serve exhausted answers and mask
-        # the truncation this test is about.
+        """Tiny ambient node budgets under injected cache faults:
+        whatever trips, no truncated result may land in the shared
+        cache."""
         invalidate()
         compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=2)
-        budget = Budget(max_nodes=5, partial_ok=True)
-        with use_budget(budget):
-            batch = engine.complete_batch(
-                ["experiment ~ conductance", "experiment ~ temperature"],
-                jobs=4,
-                executor=executor,
-            )
-        assert any(not r.exhausted for r in batch.results)
-        _assert_cache_is_clean(compiled)
+        plan = FaultPlan(seed=seed, cache_miss_rate=0.5, cache_drop_rate=0.5)
+        with inject(compiled, plan):
+            engine = Disambiguator(compiled, e=2)
+            with use_budget(Budget(max_nodes=5, partial_ok=True)):
+                batch = engine.complete_batch(
+                    ["experiment ~ conductance", "experiment ~ temperature"]
+                )
+            assert any(not r.exhausted for r in batch.results)
+            _assert_cache_is_clean(compiled)
         # A later unbudgeted run completes fully and repopulates.
-        full = engine.complete_batch(["experiment ~ conductance"], jobs=2)
+        full = Disambiguator(compiled, e=2).complete_batch(
+            ["experiment ~ conductance"]
+        )
         assert all(r.exhausted for r in full.results)
+        assert len(compiled.cache) >= 1
         _assert_cache_is_clean(compiled)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_per_input_budget_isolation(self, cupid, executor):
+    @pytest.mark.parametrize("where", ["caller", "thread"])
+    def test_per_input_budget_isolation(self, cupid, where):
         """Each input gets its own freshly armed meter: a budget that
         truncates the expensive query must not bleed into (or starve)
-        the cheap ones sharing its batch, on either backend."""
-        invalidate()  # cold workers — see the budgeted test above
-        compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=3)
-        cheap = Disambiguator(CompiledSchema(cupid), e=3)
+        the cheap one after it — also when the batch runs on a worker
+        thread in a copied context."""
+        invalidate()
+        cheap = Disambiguator(CompiledSchema(cupid), e=3, pruning="closure")
         nodes_for_cheap = (
             cheap.complete("site ~ name").stats.recursive_calls + 2
         )
+        compiled = CompiledSchema(cupid)
+        engine = Disambiguator(compiled, e=3, pruning="closure")
         with use_budget(Budget(max_nodes=nodes_for_cheap, partial_ok=True)):
-            batch = engine.complete_batch(
-                ["experiment ~ conductance", "site ~ name"],
-                jobs=4,
-                executor=executor,
+            batch = _run_batch_on(
+                where, engine, ["experiment ~ conductance", "site ~ name"]
             )
         heavy, light = batch.results
         assert not heavy.exhausted  # its own meter tripped
         assert light.exhausted  # unaffected by its neighbor's trip
+        assert len(compiled.cache) == 1  # only the exhausted answer
         _assert_cache_is_clean(compiled)
 
 
@@ -187,7 +190,9 @@ class TestPrewarmUnderFaults:
         compiled = CompiledSchema(university)
         plan = FaultPlan(seed=seed, edge_fail_rate=0.3)
         with inject(compiled, plan):
-            warmed = prewarm(Disambiguator(compiled), QUERIES, jobs=4)
+            warmed = prewarm_tenant(
+                Tenant("university", compiled), QUERIES, policy=FAST_RETRY
+            )
             _assert_cache_is_clean(compiled)
         assert 0 <= warmed <= len(QUERIES)
         _assert_cache_is_clean(compiled)
@@ -207,18 +212,20 @@ class TestPrewarmUnderFaults:
         plan = FaultPlan(seed=0, edge_fail_rate=1.0)
         compiled.cache.clear()
         with inject(compiled, plan):
-            warmed = prewarm(Disambiguator(compiled), QUERIES, jobs=4)
+            warmed = prewarm_tenant(
+                Tenant("university", compiled), QUERIES, policy=FAST_RETRY
+            )
         assert warmed == 0
         assert len(compiled.cache) == 0
 
     def test_prewarm_total_failure_surfaces_nothing_to_caller(
         self, university
     ):
-        """prewarm never raises — the sequential pass owns the error."""
+        """prewarm never raises — the live request owns the error."""
         compiled = CompiledSchema(university)
         with inject(compiled, FaultPlan(seed=1, edge_fail_rate=1.0)):
-            engine = Disambiguator(compiled)
-            assert prewarm(engine, ["ta ~ name"], jobs=2) == 0
-            # The sequential pass hits the very fault prewarm swallowed.
+            tenant = Tenant("university", compiled)
+            assert prewarm_tenant(tenant, ["ta ~ name"], policy=FAST_RETRY) == 0
+            # The live completion hits the very fault prewarm swallowed.
             with pytest.raises(InjectedFaultError):
-                engine.complete("ta ~ name")
+                tenant.engine(1).complete("ta ~ name")
