@@ -7,9 +7,8 @@ unrestricted schema).  It is timed on the steady-state cold pass
 process pays the table builds once ever, and bench_closure asserts
 those cheap separately) into the ``kernel.flat_seconds_e3`` ledger
 series, and its ranked paths and labels must equal those of the
-paper's Algorithm 2 run verbatim (``pruning="none"``) for every query.
-The sequential batch pass over a fresh artifact is recorded alongside
-as ``kernel.batch_seq_seconds_e3``.
+paper's Algorithm 2 run verbatim (the test oracle,
+``tests/reference_search.py``) for every query.
 
 Timings land in ``BENCH_kernel.json`` at the repo root and in the
 ``BENCH_history.jsonl`` perf ledger (gated by
@@ -31,6 +30,7 @@ import pytest
 from benchmarks.conftest import emit, record_bench
 from repro.core.compiled import CompiledSchema
 from repro.core.engine import Disambiguator
+from tests.reference_search import reference_engine
 
 _ROOT = pathlib.Path(__file__).parent.parent
 _RESULT_FILE = _ROOT / "BENCH_kernel.json"
@@ -55,15 +55,6 @@ def _snapshots(batch) -> list[tuple]:
         )
         for result in batch.results
     ]
-
-
-def _cold_pass(schema, texts) -> float:
-    """Seconds for one genuinely cold batch: fresh artifact, empty
-    completion cache."""
-    engine = Disambiguator(CompiledSchema(schema), e=E)
-    start = time.perf_counter()
-    engine.complete_batch(texts)
-    return time.perf_counter() - start
 
 
 def _steady_cold_passes(schema, texts):
@@ -103,19 +94,11 @@ def test_flat_kernel_cold_pass(cupid, oracle):
     # Answers first: ranked paths, labels, semantic lengths, and the
     # anytime flags must be those of the paper's Algorithm 2 run
     # verbatim.  A fast wrong kernel is worthless.
-    reference = Disambiguator(
-        CompiledSchema(cupid), e=E, pruning="none"
-    ).complete_batch(texts)
+    reference = reference_engine(cupid, e=E).complete_batch(texts)
     assert _snapshots(flat) == _snapshots(reference)
 
     record_bench(f"kernel.flat_seconds_e{E}", flat_seconds, quick=QUICK)
     lines.append(f"kernel: flat {flat_seconds * 1000:8.1f} ms")
-
-    seq_seconds = min(_cold_pass(cupid, texts) for _ in range(REPEATS))
-    record_bench(
-        f"kernel.batch_seq_seconds_e{E}", seq_seconds, quick=QUICK
-    )
-    lines.append(f"batch: sequential {seq_seconds * 1000:8.1f} ms")
 
     record = {
         "schema": "cupid (unrestricted)",

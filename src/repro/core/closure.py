@@ -27,6 +27,10 @@ cut rules (see ``pruning="closure"``):
   frontier under AGG* at the requested E.  Caution-set membership is
   explicitly exempted so non-distributivity stays sound.
 
+``pruning="none"`` runs the same search loop over *uncut* tables
+(:meth:`SchemaClosure.uncut_tables_for`), which keep every edge the
+paper's Algorithm 2 considers.
+
 Admissibility
 -------------
 The bound tables are built by a backward 0/1-BFS over states
@@ -53,7 +57,6 @@ per-target tables are built lazily on first use and memoized.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from collections import OrderedDict, deque
@@ -69,16 +72,12 @@ __all__ = [
     "PRUNING_MODES",
     "SchemaClosure",
     "TargetTables",
-    "has_static_adjacency",
     "resolve_pruning",
 ]
 
-#: Accepted values of the ``pruning`` knob.
+#: Accepted values of the ``pruning`` argument: the closure cuts on, or
+#: the same search loop with them off (the paper's Algorithm 2).
 PRUNING_MODES = ("closure", "none")
-
-#: Environment override consulted when no explicit mode is given — CI's
-#: unpruned matrix leg runs the whole suite with ``REPRO_PRUNING=none``.
-PRUNING_ENV_VAR = "REPRO_PRUNING"
 
 #: Bound on the closures :meth:`SchemaClosure.for_graph` and
 #: :meth:`SchemaClosure.evolved` keep by content, least recently used
@@ -247,29 +246,10 @@ def _relax(
                     appendleft((next_state, nd))
 
 
-def has_static_adjacency(graph: SchemaGraph) -> bool:
-    """True when ``graph.edges_from`` is the plain frozen adjacency read.
-
-    The closure tables snapshot the adjacency at build time and the
-    closure traversal walks those snapshots instead of calling
-    ``edges_from`` per node.  That is only sound — and only honest —
-    when the adjacency is static: a proxied or monkeypatched
-    ``edges_from`` (fault injection's :class:`FaultyGraph`, virtual-
-    latency clocks) is a deliberate interception seam, so such graphs
-    fall back to the reference loop, where every adjacency read goes
-    through the override.
-    """
-    return (
-        getattr(type(graph), "edges_from", None) is SchemaGraph.edges_from
-        and "edges_from" not in getattr(graph, "__dict__", {})
-    )
-
-
 def resolve_pruning(pruning: str | None) -> str:
-    """Resolve the ``pruning`` knob: explicit value, else the
-    ``REPRO_PRUNING`` environment override, else ``"closure"``."""
+    """The ``pruning`` mode: the explicit value, else ``"closure"``."""
     if pruning is None:
-        pruning = os.environ.get(PRUNING_ENV_VAR) or "closure"
+        return "closure"
     if pruning not in PRUNING_MODES:
         raise ValueError(
             f"pruning must be one of {PRUNING_MODES}, got {pruning!r}"
@@ -326,6 +306,17 @@ class TargetTables:
         per entry for each, so the cross-mode diff can account for
         every edge the closure search never even considered.  Always
         ``len(reach_dropped[u]) == reach_pruned[u]``.
+    ``cut``
+        ``True`` for closure tables.  ``False`` for the *uncut* tables
+        of :meth:`SchemaClosure.uncut_tables_for` (``pruning="none"``):
+        no label bounds (``rows``/``conns``/``dist`` are empty), and
+        ``reach_dropped`` holds only the dead ends — edges into classes
+        with no out-edges, which the paper's loop never enters.
+    ``drops_after``
+        Uncut tables only: per node, ``drops_after[u][j]`` counts the
+        dead ends that follow the ``j``-th interior edge in adjacency
+        order (``j = 0``: all of them), so a budget trip can charge
+        exactly the dead ends the paper's loop had reached.
     ``dist``
         The raw pre-collapse state distances (node × composed connector
         × first connector).  Kept so :meth:`SchemaClosure.evolved` can
@@ -344,6 +335,8 @@ class TargetTables:
         "reach_pruned",
         "reach_dropped",
         "dist",
+        "cut",
+        "drops_after",
     )
 
     def __init__(
@@ -356,6 +349,8 @@ class TargetTables:
         reach_pruned: list[int],
         dist: bytearray,
         reach_dropped: list[tuple] | None = None,
+        cut: bool = True,
+        drops_after: list[tuple] | None = None,
     ) -> None:
         self.reach_mask = reach_mask
         self.rows = rows
@@ -365,6 +360,8 @@ class TargetTables:
         self.reach_pruned = reach_pruned
         self.reach_dropped = [] if reach_dropped is None else reach_dropped
         self.dist = dist
+        self.cut = cut
+        self.drops_after = drops_after
 
 
 def _differs(old, new) -> bool:
@@ -377,8 +374,8 @@ def _target_cache_key(target: Target) -> tuple[str, str] | None:
     """A stable content key for the two concrete target types.
 
     Exotic :class:`~repro.core.target.Target` subclasses have no stable
-    content key, so their tables are not memoized (the search falls back
-    to unpruned traversal for them).
+    content key, so they get no closure tables; the search runs them on
+    uncut tables built per search.
     """
     if isinstance(target, RelationshipTarget):
         return ("rel", target.relationship_name)
@@ -415,6 +412,7 @@ class SchemaClosure:
         }
         self._reach: list[int] | None = None
         self._tables: dict[tuple[str, str], TargetTables] = {}
+        self._uncut: dict[tuple[str, str], TargetTables] = {}
         # Table repairs inherited from an ancestor closure and not yet
         # asked for: key -> (ancestor table, chain of inserted edges).
         # See evolved() and tables_for().
@@ -555,6 +553,7 @@ class SchemaClosure:
         clone.index = index
         clone._lock = threading.Lock()
         clone._tables = {}
+        clone._uncut = {}
         clone._pending = {}
 
         old_reach = self._reach
@@ -882,7 +881,7 @@ class SchemaClosure:
         and every caller gets that one.
 
         Returns ``None`` for target types without a stable content key;
-        the search then runs without closure pruning for that query.
+        the search then runs on :meth:`uncut_tables_for` for that query.
         """
         key = _target_cache_key(target)
         if key is None:
@@ -898,6 +897,59 @@ class SchemaClosure:
         with self._lock:
             tables = self._tables.setdefault(key, tables)
             self._pending.pop(key, None)
+        return tables
+
+    def uncut_tables_for(self, target: Target) -> TargetTables:
+        """The tables ``pruning="none"`` runs on: the paper's search.
+
+        Only the edges into dead ends (classes with no out-edges, which
+        the paper's loop skips without entering) are dropped, and the
+        label-bound cut is off.  Memoized by content key; targets
+        without one get fresh tables per call.
+        """
+        key = _target_cache_key(target)
+        tables = self._uncut.get(key) if key is not None else None
+        if tables is not None:
+            return tables
+        index = self.index
+        edges_from = self.graph.edges_from
+        is_completing = target.is_completing_edge
+        tables = TargetTables(
+            reach_mask=0,
+            rows=[],
+            conns=[],
+            completing=[],
+            interior=[],
+            reach_pruned=[],
+            dist=bytearray(),
+            cut=False,
+            drops_after=[],
+        )
+        for name in self.nodes:
+            comp: list[tuple] = []
+            inter: list[tuple] = []
+            dropped: list = []
+            # Per interior edge: the dead ends met before it.
+            dead_before: list[int] = []
+            for edge in edges_from(name):
+                entry = (index[edge.target], edge.connector.index, edge)
+                if is_completing(edge):
+                    comp.append(entry)
+                elif edges_from(edge.target):
+                    inter.append(entry)
+                    dead_before.append(len(dropped))
+                else:
+                    dropped.append(edge)
+            tables.completing.append(tuple(comp))
+            tables.interior.append(tuple(inter))
+            tables.reach_pruned.append(len(dropped))
+            tables.reach_dropped.append(tuple(dropped))
+            tables.drops_after.append(
+                (len(dropped), *(len(dropped) - d for d in dead_before))
+            )
+        if key is not None:
+            with self._lock:
+                tables = self._uncut.setdefault(key, tables)
         return tables
 
     def _materialize(

@@ -327,6 +327,11 @@ class CompiledSchema:
         Bound of the completion LRU cache.
     """
 
+    #: The search type :meth:`searcher` builds.  Fault injection
+    #: (:func:`repro.resilience.faults.inject`) swaps in a subclass
+    #: whose budget meter draws the injected faults.
+    search_class: type[CompletionSearch] = CompletionSearch
+
     def __init__(
         self,
         schema: Schema,
@@ -529,7 +534,7 @@ class CompiledSchema:
             if search is not None:
                 self._searches.move_to_end(key)
             else:
-                search = CompletionSearch(
+                search = self.search_class(
                     self.graph,
                     order=self.order,
                     e=e,
@@ -538,7 +543,7 @@ class CompiledSchema:
                     max_depth=max_depth,
                     caution_sets=self.caution_sets,
                     pruning=pruning,
-                    closure=self.closure if pruning == "closure" else None,
+                    closure=self.closure,
                 )
                 self._searches[key] = search
                 if len(self._searches) > SEARCHER_MEMO_SIZE:

@@ -15,18 +15,18 @@ enhanced with:
 * **AGG\*** (Section 4.4): the ``E`` parameter relaxes the semantic-length
   cut to the E lowest distinct lengths.
 
-:class:`CompletionSearch` runs one of two loops.  With closure pruning
-(the default) it is the flat search kernel
-(:func:`repro.core.kernel.run_flat`): Algorithm 2 plus the closure cut
-rules, over dense integers, audited or not.  With ``pruning="none"``,
-and on graphs whose adjacency is not static, it is
-:meth:`CompletionSearch._traverse_reference`, the paper's Algorithm 2
-verbatim — the oracle the kernel is tested against and the other side
-of ``python -m repro.core.audit diff``.  Both are iterative rather than
-recursive (real schemas produce search stacks deeper than CPython's
-recursion limit), but mirror the paper's ``traverse`` routine line by
-line; ``stats.recursive_calls`` counts what would be recursive
-invocations.
+:class:`CompletionSearch` runs one loop, the flat search kernel
+(:func:`repro.core.kernel.run_flat`), over dense integers, audited or
+not.  With closure pruning (the default) it runs over the closure's
+cut tables, adding the reachability and label-bound cut rules to the
+paper's; ``pruning="none"`` runs the same loop with those cuts off,
+which is the paper's Algorithm 2 search call for call.  The loop is
+iterative rather than recursive (real schemas produce search stacks
+deeper than CPython's recursion limit), but mirrors the paper's
+``traverse`` routine line by line; ``stats.recursive_calls`` counts
+what would be recursive invocations.  Chaos faults
+(:func:`repro.resilience.faults.inject`) fire inside that loop too,
+through the budget meter it checks on every expansion.
 """
 
 from __future__ import annotations
@@ -36,16 +36,11 @@ import time
 
 from repro.algebra.agg import Aggregator
 from repro.algebra.caution import CautionSets
-from repro.algebra.labels import IDENTITY_LABEL, PathLabel
+from repro.algebra.labels import PathLabel
 from repro.algebra.order import DEFAULT_ORDER, PartialOrder
 from repro.core.ast import ConcretePath
 from repro.core.audit import get_audit, record_scores
-from repro.core.closure import (
-    SchemaClosure,
-    TargetTables,
-    has_static_adjacency,
-    resolve_pruning,
-)
+from repro.core.closure import SchemaClosure, TargetTables, resolve_pruning
 from repro.core.inheritance_criterion import apply_preemption
 from repro.core.kernel import BudgetTrip, run_flat
 from repro.core.stats import TraversalStats
@@ -159,22 +154,18 @@ class CompletionSearch:
         shares one instance.  Ignored when ``use_caution_sets`` is off.
     pruning:
         ``"closure"`` (the default) runs the flat search kernel
-        (:func:`repro.core.kernel.run_flat`): Algorithm 2 plus the
-        compile-time closure cut rules — reachability pruning and
-        label-bound pruning (see :mod:`repro.core.closure`) — over
-        dense integer state.  ``"none"`` runs the paper's Algorithm 2
-        verbatim (:meth:`_traverse_reference`).  ``None`` resolves via
-        the ``REPRO_PRUNING`` environment variable.  Both modes return
-        identical exhausted results, and both emit the search audit
-        log when one is installed; the knob exists for A/B
-        verification and paper-fidelity measurements (Figure 7's call
-        counts).  Graphs with a dynamic ``edges_from`` always run the
-        reference loop.
+        (:func:`repro.core.kernel.run_flat`) with the compile-time
+        closure cut rules — reachability pruning and label-bound
+        pruning (see :mod:`repro.core.closure`).  ``"none"`` runs the
+        same loop with those cuts off: the paper's Algorithm 2, whose
+        call counts Figure 7 reports.  Both modes return identical
+        exhausted results and both emit the search audit log when one
+        is installed; ``"none"`` exists for A/B verification and
+        paper-fidelity measurements.
     closure:
         Optional precomputed :class:`~repro.core.closure.SchemaClosure`
         for ``graph`` (a compiled artifact shares one across all its
-        searches).  Ignored when ``pruning="none"``; built on demand
-        (content-cached) otherwise.
+        searches); built on demand (content-cached) otherwise.
     """
 
     def __init__(
@@ -201,16 +192,9 @@ class CompletionSearch:
         self.apply_inheritance_criterion = apply_inheritance_criterion
         self.max_depth = max_depth
         self.pruning = resolve_pruning(pruning)
-        if self.pruning == "closure" and has_static_adjacency(graph):
-            self.closure = (
-                closure if closure is not None else SchemaClosure.for_graph(graph)
-            )
-        else:
-            # pruning="none", or a graph with a dynamic edges_from
-            # (fault injection, monkeypatched latency): the closure
-            # tables would bypass the interception seam, so such graphs
-            # always take the reference loop.
-            self.closure = None
+        self.closure = (
+            closure if closure is not None else SchemaClosure.for_graph(graph)
+        )
         # Memoized per-root support sets (reachable class names) for
         # result footprints; the adjacency is frozen, so each root's set
         # is computed at most once per search instance.
@@ -250,18 +234,17 @@ class CompletionSearch:
                 meter = budget.start()
         stats = TraversalStats()
         started = time.perf_counter()
-        state = _SearchState(
-            best_target=[],
-            complete=[],
-            stats=stats,
-        )
-        # Per-target closure tables; ``None`` (pruning off, or a target
-        # type the closure cannot key) falls back to the paper's cuts.
+        state = _SearchState(complete=[], stats=stats)
+        # The closure's cut tables; ``pruning="none"``, and a target
+        # type the closure cannot key, run on uncut tables instead.
         tables = (
             self.closure.tables_for(target)
-            if self.closure is not None
+            if self.pruning == "closure"
             else None
         )
+        if tables is None:
+            tables = self.closure.uncut_tables_for(target)
+        pruning = "closure" if tables.cut else "none"
         audit = get_audit()
         if audit.enabled:
             audit.record(
@@ -269,16 +252,22 @@ class CompletionSearch:
                 root=root,
                 target=target.describe(),
                 e=self.aggregator.e,
-                pruning=self.pruning if tables is not None else "none",
+                pruning=pruning,
             )
         with get_tracer().span(
             "traverse",
             root=root,
             target=target.describe(),
             e=self.aggregator.e,
-            pruning=self.pruning if tables is not None else "none",
+            pruning=pruning,
         ) as span:
-            reason = self._traverse(root, state, target, meter, tables)
+            # A class excluded from the traversal view (domain
+            # knowledge) roots no path.
+            reason = (
+                self._traverse(root, state, target, meter, tables)
+                if root in self.closure.index
+                else None
+            )
             span.set(
                 calls=stats.recursive_calls,
                 edges=stats.edges_considered,
@@ -323,34 +312,24 @@ class CompletionSearch:
 
         Every path the search can ever produce — and every edge it can
         ever consider — lives inside this set, which makes it a sound
-        dependency footprint for :attr:`CompletionResult.support`.  Uses
-        the closure's reachability row when one is attached; the BFS
-        fallback (``pruning="none"``, dynamic graphs) computes the same
-        set, so both pruning modes stamp identical footprints.
+        dependency footprint for :attr:`CompletionResult.support`.  Read
+        from the closure's reachability row, so both pruning modes
+        stamp identical footprints.
         """
         support = self._supports.get(root)
-        if support is not None:
-            return support
-        closure = self.closure
-        if closure is not None and root in closure.index:
-            row = closure.reach[closure.index[root]]
-            nodes = closure.nodes
-            support = frozenset(
-                nodes[position]
-                for position in range(len(nodes))
-                if row >> position & 1
-            )
-        else:
-            seen = {root}
-            frontier = [root]
-            while frontier:
-                node = frontier.pop()
-                for edge in self.graph.edges_from(node):
-                    if edge.target not in seen:
-                        seen.add(edge.target)
-                        frontier.append(edge.target)
-            support = frozenset(seen)
-        self._supports[root] = support
+        if support is None:
+            closure = self.closure
+            root_i = closure.index.get(root)
+            if root_i is None:  # excluded from the traversal view
+                support = frozenset((root,))
+            else:
+                row = closure.reach[root_i]
+                support = frozenset(
+                    name
+                    for position, name in enumerate(closure.nodes)
+                    if row >> position & 1
+                )
+            self._supports[root] = support
         return support
 
     # ------------------------------------------------------------------
@@ -362,240 +341,29 @@ class CompletionSearch:
         root: str,
         state: "_SearchState",
         target: Target,
-        meter: BudgetMeter | None = None,
-        tables: TargetTables | None = None,
+        meter: BudgetMeter | None,
+        tables: TargetTables,
     ) -> str | None:
-        """Run the search loop: the flat kernel when ``tables`` is given
-        (closure mode), else the paper's Algorithm 2 verbatim.
+        """Run the search loop over ``tables``.
 
         Returns ``None`` on exhaustion, or the truncation reason when
         ``meter`` trips — the state's recorded complete paths are then
         the best-so-far anytime answer.
         """
         try:
-            if tables is None:
-                self._traverse_reference(root, state, target, meter)
-            else:
-                run_flat(
-                    self.closure,
-                    tables,
-                    root,
-                    state,
-                    self.aggregator,
-                    self.caution.masks if self.caution is not None else None,
-                    self.max_depth,
-                    meter,
-                )
+            run_flat(
+                self.closure,
+                tables,
+                root,
+                state,
+                self.aggregator,
+                self.caution.masks if self.caution is not None else None,
+                self.max_depth,
+                meter,
+            )
         except BudgetTrip as trip:
             return trip.reason
         return None
-
-    def _traverse_reference(
-        self,
-        root: str,
-        state: "_SearchState",
-        target: Target,
-        meter: BudgetMeter | None,
-    ) -> None:
-        """The paper's Algorithm 2, line by line (``pruning="none"``).
-
-        Iterative rendering of the recursive ``traverse``: each stack
-        frame carries ``(node, label, path, next edge index)``; pushing
-        a frame corresponds to a recursive call (line 13), popping a
-        frame past its last edge to returning past line 15 (which
-        clears the ``visited`` flag).
-
-        This is the A/B reference the flat kernel is verified against;
-        it stays deliberately close to the published pseudocode."""
-        visited: set[str] = state.visited
-        aggregator = self.aggregator
-        aggregate = aggregator.aggregate
-        keeps = aggregator.keeps
-        stats = state.stats
-        best = state.best
-        best_get = best.get
-        graph = self.graph
-        edges_from = graph.edges_from
-        is_completing = target.is_completing_edge
-        caution = self.caution
-        max_depth = self.max_depth
-        complete = state.complete
-        # One hoisted flag guards every audit hook: the disabled default
-        # costs a boolean test per decision site and the traversal is
-        # byte-identical either way (asserted in tests/core/test_audit.py).
-        audit = get_audit()
-        audit_on = audit.enabled
-        audit_record = audit.record
-
-        stack: list[tuple[str, PathLabel, ConcretePath, int]] = []
-        stack_append = stack.append
-
-        def enter(node: str, label: PathLabel, path: ConcretePath) -> None:
-            # Lines 1-5: mark visited, record any complete paths via the
-            # completing edges out of this node, run update(paths).
-            visited.add(node)
-            stats.recursive_calls += 1
-            if audit_on:
-                audit_record(
-                    "expand",
-                    node=node,
-                    depth=path.length,
-                    edge=path.edges[-1].name if path.edges else None,
-                    label=str(label),
-                    length=label.semantic_length,
-                )
-            if meter is not None:
-                reason = meter.tripped(
-                    stats.recursive_calls, len(complete), len(stack)
-                )
-                if reason is not None:
-                    raise BudgetTrip(reason)
-            for edge in edges_from(node):
-                if not is_completing(edge):
-                    continue
-                if edge.target in visited:
-                    continue  # would close a cycle; ignored per semantics
-                candidate = label.extend(edge.connector)
-                state.best_target = aggregate(
-                    [candidate, *state.best_target]
-                )
-                kept = keeps(candidate, state.best_target)
-                if kept:
-                    complete.append(path.extend(edge))
-                    stats.complete_paths_found += 1
-                if audit_on:
-                    audit_record(
-                        "complete",
-                        node=node,
-                        depth=path.length,
-                        edge=edge.name,
-                        path=str(path.extend(edge)),
-                        label=str(candidate),
-                        length=candidate.semantic_length,
-                        kept=kept,
-                    )
-            stack_append((node, label, path, 0))
-
-        enter(root, IDENTITY_LABEL, ConcretePath.start(root))
-        while stack:
-            node, label, path, edge_index = stack.pop()
-            edges = edges_from(node)
-            n_edges = len(edges)
-            advanced = False
-            while edge_index < n_edges:
-                edge = edges[edge_index]
-                edge_index += 1
-                if is_completing(edge):
-                    continue  # handled in enter(); never extended
-                child = edge.target
-                stats.edges_considered += 1
-                if child in visited:
-                    stats.pruned_visited += 1
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="visited",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            caution=False,
-                        )
-                    continue
-                if not edges_from(child) and not _can_complete_at(
-                    graph, child, target
-                ):
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="dead_end",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            caution=False,
-                        )
-                    continue  # dead end (e.g. primitive class)
-                if (
-                    max_depth is not None
-                    and path.length + 1 >= max_depth
-                ):
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="max_depth",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            caution=False,
-                        )
-                    continue
-                child_label = label.extend(edge.connector)
-                # Line 9: bound against the best complete labels so far.
-                if state.best_target and not keeps(
-                    child_label, state.best_target
-                ):
-                    stats.pruned_target_bound += 1
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="target_bound",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            label=str(child_label),
-                            length=child_label.semantic_length,
-                            frontier=[str(k) for k in state.best_target],
-                            caution=False,
-                        )
-                    continue
-                # Lines 10-11: bound against best[u], rescued by caution.
-                child_best = best_get(child, [])
-                if child_best and not keeps(child_label, child_best):
-                    if caution is not None and caution.intersects(
-                        child_label, child_best
-                    ):
-                        stats.rescued_by_caution += 1
-                        if audit_on:
-                            audit_record(
-                                "rescue",
-                                rule="best_bound",
-                                node=node,
-                                depth=path.length,
-                                edge=edge.name,
-                                child=child,
-                                label=str(child_label),
-                            )
-                    else:
-                        stats.pruned_best_bound += 1
-                        if audit_on:
-                            audit_record(
-                                "cut",
-                                rule="best_bound",
-                                node=node,
-                                depth=path.length,
-                                edge=edge.name,
-                                child=child,
-                                label=str(child_label),
-                                length=child_label.semantic_length,
-                                frontier=[str(k) for k in child_best],
-                                caution=False,
-                            )
-                        continue
-                # Line 12: best[u] := AGG*({l_u} ∪ best[u]).
-                best[child] = aggregate(
-                    [child_label, *child_best]
-                )
-                # Line 13: recurse — push the parent frame back with its
-                # position, then enter the child.
-                stack_append((node, label, path, edge_index))
-                enter(child, child_label, path.extend(edge))
-                advanced = True
-                break
-            if not advanced:
-                visited.discard(node)  # line 15
 
     # ------------------------------------------------------------------
     # Finalization: update(paths) semantics applied to the full set
@@ -666,26 +434,12 @@ class CompletionSearch:
         )
 
 
-def _can_complete_at(
-    graph: SchemaGraph, node: str, target: Target
-) -> bool:
-    """True if some completing edge departs from ``node``."""
-    return any(
-        target.is_completing_edge(edge) for edge in graph.edges_from(node)
-    )
-
-
 @dataclasses.dataclass(slots=True)
 class _SearchState:
-    """Mutable globals of the traversal (the paper's best[], paths)."""
+    """What the traversal fills: the recorded paths and its counters."""
 
-    best_target: list[PathLabel]
     complete: list[ConcretePath]
     stats: TraversalStats
-    # best[T], best[u] and visited belong to the reference loop; the
-    # flat kernel keeps its own index-addressed equivalents.
-    best: dict[str, object] = dataclasses.field(default_factory=dict)
-    visited: set[str] = dataclasses.field(default_factory=set)
 
 
 def complete_paths(

@@ -148,10 +148,10 @@ class Disambiguator:
         Search-pruning mode for every completion this engine runs:
         ``"closure"`` (the default) enables the compile-time closure
         cut rules (reachability and label-bound pruning, see
-        :mod:`repro.core.closure`); ``"none"`` runs the paper's
-        Algorithm 2 verbatim.  Both modes return byte-identical ranked
-        paths; the mode is part of every cache key.  ``None`` defers to
-        the ``REPRO_PRUNING`` environment variable, then the default.
+        :mod:`repro.core.closure`); ``"none"`` runs the same search
+        loop with those cuts off (the paper's Algorithm 2).  Both modes
+        return byte-identical ranked paths; the mode is part of every
+        cache key.  ``None`` means the default.
 
     Examples
     --------

@@ -1,8 +1,8 @@
 """The flat search kernel — Algorithm 2 with closure cuts over integers.
 
-:func:`run_flat` is the closure-mode search loop: every search with
-``pruning="closure"`` over a static adjacency runs it, audited or not.
-It is the paper's ``traverse`` routine plus the two closure cut rules
+:func:`run_flat` is the search loop: every search runs it, audited or
+not, in either pruning mode.  It is the paper's ``traverse`` routine
+plus the two closure cut rules
 (:mod:`repro.core.closure`), written over dense integers so CPython
 spends its time on the search rather than on object traffic:
 
@@ -26,18 +26,30 @@ spends its time on the search rather than on object traffic:
   length)`` tuples and materialized into :class:`ConcretePath` objects
   (with their labels preset) only after the traversal.
 
+``pruning="none"`` is the same loop with its cuts off: it runs over
+*uncut* tables (:meth:`SchemaClosure.uncut_tables_for
+<repro.core.closure.SchemaClosure.uncut_tables_for>`): they drop only
+the edges into classes without out-edges, which the paper's loop also
+never enters (its dead ends), and the label-bound cut is off, so the
+same loop reproduces the paper's search call for call (Figure 7's
+recursive-call counts).  The test suite keeps the paper's loop
+verbatim (``tests/reference_search.py``) as the oracle this one is
+checked against.
+
 The search audit log (:mod:`repro.core.audit`) is emitted from this
 loop behind one hoisted ``audit_on`` bool: node names, label strings
 and path strings are built from ``closure.nodes`` and the edge stack
 only when it is set, so the disabled default costs a local-bool branch
-per decision site.  :meth:`CompletionSearch._traverse_reference
-<repro.core.completion.CompletionSearch._traverse_reference>` — the
-paper's Algorithm 2 verbatim — is the answer oracle:
-``tests/core/test_kernel.py`` checks identical ranked paths and labels
-against it, and pins the audit stream record for record.
+per decision site.
+
+Chaos faults fire inside this loop too: the budget meter it consults
+on every expansion is, under :func:`repro.resilience.faults.inject`, a
+meter that draws the injected failures and latency first.
 """
 
 from __future__ import annotations
+
+from operator import length_hint
 
 from repro.algebra.connectors import ALL_CONNECTORS, PRIMARY_CONNECTORS
 from repro.algebra.labels import PathLabel
@@ -63,6 +75,16 @@ __all__ = ["BudgetTrip", "run_flat"]
 #: single comparison ``length > cutoffs[c]`` decides membership.
 _NO_CUTOFF = 1 << 30
 
+#: The label-bound verdict of uncut tables: every child length is
+#: admitted and no rescue is counted.
+_ADMIT_ALL = (_NO_CUTOFF, False)
+
+
+def _admit_all(memo_key: int) -> tuple[int, bool]:
+    """The label-bound memo lookup when the cut is off."""
+    return _ADMIT_ALL
+
+
 #: Connector symbols by index, for the audit records.
 _SYMBOL: tuple[str, ...] = tuple(c.symbol for c in ALL_CONNECTORS)
 
@@ -76,7 +98,7 @@ def _label_str(ci: int, length: int) -> str:
 class BudgetTrip(Exception):
     """Internal control flow: unwinds a search loop on a tripped meter.
 
-    Raised by both traversals and caught in
+    Raised by :func:`run_flat` and caught in
     ``CompletionSearch._traverse``, which converts it into the anytime
     truncation reason.
     """
@@ -177,9 +199,13 @@ def run_flat(
     * *reachability pruning* — edges to children from which no
       completing edge is reachable were dropped into
       ``tables.reach_dropped`` at table build; each entry charges them
-      to ``stats.nodes_pruned_reachability``;
-    * *label-bound pruning* — after the line-12 ``best[u]`` update (so
-      the frontier evolves exactly as in the reference), a child is
+      to ``stats.nodes_pruned_reachability``.  Uncut tables drop only
+      the dead ends, which each entry charges to
+      ``stats.edges_considered`` as the paper's loop does (on a budget
+      trip, only those the paper's loop would have reached);
+    * *label-bound pruning* (off on uncut tables) — after the line-12
+      ``best[u]`` update (so the frontier evolves exactly as in the
+      paper's loop), a child is
       entered only if some achievable composed connector admits an
       optimistic complete label that ``best[T]`` keeps, or one whose
       caution set intersects ``best[T]`` (the non-distributivity
@@ -198,10 +224,11 @@ def run_flat(
 
     ``stats.edges_considered`` is not counted per edge: every considered
     edge ends in exactly one ``visited``, ``max_depth``,
-    ``target_bound``, ``best_bound`` or ``label_bound`` cut or in one
-    recursion, and every node entry but the root's is a recursion, so
-    the count is the cut total plus ``recursive_calls - 1`` (also on a
-    budget trip, which fires after the entry is counted).
+    ``target_bound``, ``best_bound`` or ``label_bound`` cut (or a
+    ``dead_end`` drop) or in one recursion, and every node entry but
+    the root's is a recursion, so the count is the cut total plus
+    ``recursive_calls - 1`` (also on a budget trip, which fires after
+    the entry is counted).
 
     Fills ``state.complete`` and ``state.stats`` (also on a budget trip,
     so truncation keeps the best-so-far anytime answer) and raises
@@ -234,6 +261,8 @@ def run_flat(
     audit_record = audit.record
     nodes = closure.nodes
     reach_dropped = tables.reach_dropped
+    uncut = not tables.cut
+    drop_rule = "dead_end" if uncut else "reachability"
 
     def audit_cut(rule, node_i, depth, edge, **evidence):
         audit_record(
@@ -268,7 +297,7 @@ def run_flat(
     # child index * 84 + child lstate: (largest admitted child length,
     # caution-exempt suffix exists).  Cleared on every cutoff rebuild.
     lb_memo: dict = {}
-    lb_memo_get = lb_memo.get
+    lb_memo_get = _admit_all if uncut else lb_memo.get
     n_lstates = _N_LSTATES
     # Recorded complete paths: (edge prefix tuple, completing edge,
     # composed connector index, semantic length), materialized at exit.
@@ -281,7 +310,7 @@ def run_flat(
     pruned_target_bound = 0
     pruned_best_bound = 0
     rescued_by_caution = 0
-    nodes_pruned_reachability = 0
+    dropped = 0  # reachability cuts, or dead ends on uncut tables
     nodes_pruned_bound = 0
 
     path_edges: list = []
@@ -299,7 +328,7 @@ def run_flat(
                 # the completing edges out of this node, update best[T].
                 visited[node_i] = 1
                 recursive_calls += 1
-                nodes_pruned_reachability += reach_pruned[node_i]
+                dropped += reach_pruned[node_i]
                 if audit_on:
                     audit_record(
                         "expand",
@@ -309,8 +338,8 @@ def run_flat(
                         label=_label_str(ci_of[lstate], length),
                         length=length,
                     )
-                    for dropped in reach_dropped[node_i]:
-                        audit_cut("reachability", node_i, depth, dropped)
+                    for drop in reach_dropped[node_i]:
+                        audit_cut(drop_rule, node_i, depth, drop)
                 if meter is not None:
                     reason = meter.tripped(
                         recursive_calls, len(complete_rec), len(stack)
@@ -542,7 +571,8 @@ def run_flat(
                         [(child_length, sort_rank[child_ci], child_ci)],
                     )
                 # Label-bound pruning (after line 12, so best[] evolves
-                # identically to the reference loop).
+                # identically to the paper's loop; uncut tables admit
+                # every child).
                 if bt:
                     memo_key = child_i * n_lstates + child_lstate
                     verdict = lb_memo_get(memo_key)
@@ -615,9 +645,21 @@ def run_flat(
                 visited[node_i] = 0  # line 15
                 if depth:
                     path_edges_pop()
+    except BudgetTrip:
+        if uncut:
+            # The paper's loop meets a dead end only when its edge comes
+            # up: take back the tripped node's and, for every open
+            # frame, those after the edge it recursed through.
+            dropped -= reach_pruned[node_i]
+            drops_after = tables.drops_after
+            for frame in stack:
+                frame_i = frame[0]
+                taken = len(interior[frame_i]) - length_hint(frame[4])
+                dropped -= drops_after[frame_i][taken]
+        raise
     finally:
         stats.recursive_calls += recursive_calls
-        stats.edges_considered += (
+        considered = (
             pruned_visited
             + pruned_max_depth
             + pruned_target_bound
@@ -626,11 +668,15 @@ def run_flat(
             + recursive_calls
             - 1
         )
+        if uncut:
+            considered += dropped
+        else:
+            stats.nodes_pruned_reachability += dropped
+        stats.edges_considered += considered
         stats.pruned_visited += pruned_visited
         stats.pruned_target_bound += pruned_target_bound
         stats.pruned_best_bound += pruned_best_bound
         stats.rescued_by_caution += rescued_by_caution
-        stats.nodes_pruned_reachability += nodes_pruned_reachability
         stats.nodes_pruned_bound += nodes_pruned_bound
         stats.complete_paths_found += len(complete_rec)
         # Materialize the recorded paths — also on a budget trip, so

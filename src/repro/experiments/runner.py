@@ -9,8 +9,8 @@
 * the worked examples of Sections 1-2 on the university schema,
 * ablations A1 (order variants), A2 (caution sets), A4 (vs exhaustive),
 * the designer session (schema deltas vs rebuild-per-edit),
-* the search-audit check: every closure-loop divergence from the
-  reference loop is an admissible cut, and every ranked completion's
+* the search-audit check: every divergence of the closure-pruned
+  search from the unpruned one is an admissible cut, and every ranked completion's
   per-edge score decomposition re-sums to its semantic length.
 
 A full run takes a few minutes (Figure 7 at E=5 dominates); pass

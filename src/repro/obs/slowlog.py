@@ -62,8 +62,8 @@ __all__ = [
 
 #: Record format version stamped on every exported entry.  Version 1
 #: never recorded the active pruning mode, which made slow-query triage
-#: ambiguous (was that 40ms search running the closure cuts or the
-#: reference loop?); version 2 added it and a ``delta`` mode; version 3
+#: ambiguous (was that 40ms search running with the closure cuts or
+#: without them?); version 2 added it and a ``delta`` mode; version 3
 #: drops ``delta``, since schema edits have one strategy.  The schema
 #: rejects older versions.
 SLOWLOG_VERSION = 3
@@ -78,18 +78,6 @@ RETAINED_SAMPLED = "sampled"
 #: is kept no matter how fast it was (``promote_failures`` or an
 #: explicit :meth:`Observation.promote`).
 RETAINED_PROMOTED = "promoted"
-
-
-def _ambient_pruning() -> str:
-    """The process-wide pruning mode (env override or default).
-
-    Imported lazily: ``repro.core`` imports this module for its entry-
-    point hooks, so a module-level import back into ``repro.core``
-    would be circular.
-    """
-    from repro.core.closure import resolve_pruning
-
-    return resolve_pruning(None)
 
 
 class SlowLogEntry:
@@ -309,16 +297,15 @@ class SlowQueryLog:
         kind: str,
         query: str,
         e: int | None = None,
-        pruning: str | None = None,
+        pruning: str = "closure",
         **attrs: object,
     ) -> Iterator[Observation | _NullObservation]:
         """Time the with-block as one query and consider it for retention.
 
-        ``pruning`` defaults to the ambient resolved mode (explicit
-        value, else the ``REPRO_PRUNING`` environment override, else the
-        default), so every retained entry says which search loop was
-        live — callers that know better (the engine knows its own
-        ``pruning``) pass the exact value.
+        ``pruning`` defaults to the default mode, so every retained
+        entry says whether the closure cuts were on — callers that
+        know better (the engine knows its own ``pruning``) pass the
+        exact value.
 
         Installs a private :class:`RecordingTracer` when no real tracer
         is ambient, so the retained entry always carries a span tree.
@@ -330,8 +317,6 @@ class SlowQueryLog:
             yield _NULL_OBSERVATION
             return
         token = _OBSERVING.set(True)
-        if pruning is None:
-            pruning = _ambient_pruning()
         observation = Observation(kind, query, e, dict(attrs), pruning)
         tracer = get_tracer()
         private: RecordingTracer | None = None
@@ -524,7 +509,7 @@ class NullSlowQueryLog:
         kind: str,
         query: str,
         e: int | None = None,
-        pruning: str | None = None,
+        pruning: str = "closure",
         **attrs: object,
     ) -> Iterator[_NullObservation]:
         yield _NULL_OBSERVATION

@@ -8,10 +8,11 @@ expression from stalling a whole deployment:
   checked in Algorithm 2's inner loop, with *anytime* partial results
   on a trip and an ambient :func:`use_budget` scope;
 * :mod:`repro.resilience.faults` — a deterministic, seeded chaos
-  harness (:class:`FaultPlan`, :class:`FaultyGraph`,
-  :class:`FaultyCache`, :class:`FakeClock`) that the chaos test suite
+  harness (:class:`FaultPlan`, :class:`FaultyMeter`,
+  :class:`FaultyGraph`, :class:`FaultyCache`, :class:`FakeClock`) that the chaos test suite
   uses to prove the invariants (truncated results never cached,
-  sessions and runners survive injected failures);
+  sessions and runners survive injected failures); its faults fire
+  inside the search loop;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`: jittered
   exponential backoff for *transient* failures (shed requests,
   connection resets, injected backend faults), used by the serving
@@ -34,6 +35,7 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultyCache,
     FaultyGraph,
+    FaultyMeter,
     inject,
 )
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
@@ -46,6 +48,7 @@ __all__ = [
     "FaultPlan",
     "FaultyCache",
     "FaultyGraph",
+    "FaultyMeter",
     "RetryExhaustedError",
     "RetryPolicy",
     "TruncationReason",

@@ -3,14 +3,20 @@
 The resilience contract — budgets trip cleanly, truncated results never
 reach the completion cache, sessions and experiment runners survive
 mid-traversal failures — is only trustworthy if it is *exercised*.
-This module wraps the three dependencies the completion pipeline leans
-on and makes each one misbehave on a deterministic schedule:
+This module makes the completion pipeline's dependencies misbehave on
+a deterministic schedule:
 
+* :class:`FaultyMeter` — wraps the budget meter the search loop
+  (:func:`repro.core.kernel.run_flat`) checks on every node expansion;
+  each expansion can raise :class:`~repro.errors.InjectedFaultError`
+  (a failed adjacency read) and/or add latency by advancing a
+  :class:`FakeClock` (so deadline trips are reproducible without real
+  sleeping);
 * :class:`FaultyGraph` — proxies a
-  :class:`~repro.model.graph.SchemaGraph`; ``edges_from`` can raise
-  :class:`~repro.errors.InjectedFaultError` mid-traversal and/or add
-  latency by advancing a :class:`FakeClock` (so deadline trips are
-  reproducible without real sleeping);
+  :class:`~repro.model.graph.SchemaGraph` with the same schedule on
+  ``edges_from``, for the adjacency reads made outside the search loop
+  (validating a complete expression, the explicit steps of a general
+  one);
 * :class:`FaultyCache` — proxies a
   :class:`~repro.core.compiled.CompletionCache`; lookups can be forced
   to miss and stores can be silently dropped (a cache is a *cache* —
@@ -22,7 +28,9 @@ Everything is driven by a :class:`FaultPlan` holding one
 ``random.Random(seed)`` stream, so a failing chaos test reproduces from
 its seed alone.  :func:`inject` rewires an existing
 :class:`~repro.core.compiled.CompiledSchema` in place (graph, cache,
-and memoized searchers) and returns a restore handle.
+search type and memoized searchers) and returns a restore handle.  A
+search's faults fire inside the search loop itself; a search with no
+faults injected runs exactly the code it always runs.
 """
 
 from __future__ import annotations
@@ -32,16 +40,19 @@ import random
 from typing import TYPE_CHECKING
 
 from repro.errors import InjectedFaultError
+from repro.resilience.budget import get_budget
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.compiled import CompiledSchema
     from repro.model.graph import SchemaEdge, SchemaGraph
+    from repro.resilience.budget import BudgetMeter
 
 __all__ = [
     "FakeClock",
     "FaultPlan",
     "FaultyCache",
     "FaultyGraph",
+    "FaultyMeter",
     "inject",
 ]
 
@@ -78,8 +89,11 @@ class FaultPlan:
 
     Rates are per-call probabilities drawn from one ``Random(seed)``
     stream; a plan with the same seed and the same call sequence
-    injects identically.  ``clock`` (when set) is advanced by
-    ``edge_latency``/``cache_latency`` on each wrapped call, simulating
+    injects identically.  ``edge_fail_rate`` and ``edge_latency`` apply
+    to each adjacency read — every node expansion of a search, and
+    every ``edges_from`` call outside one — the cache rates and
+    ``cache_latency`` to each cache call.  ``clock`` (when
+    set) is advanced by the latency of each wrapped call, simulating
     slow storage against a virtual deadline.
 
     ``armed_after`` delays injection by that many wrapped calls — used
@@ -147,14 +161,48 @@ class FaultPlan:
         return len(self.injected)
 
 
+class FaultyMeter:
+    """A budget meter that draws a :class:`FaultPlan`'s expansion
+    faults before the wrapped meter's own check.
+
+    The search loop calls :meth:`tripped` once per node expansion, so
+    every expansion ticks the plan: it may raise
+    :class:`~repro.errors.InjectedFaultError` (a failed adjacency read)
+    and advances the plan's clock by ``edge_latency``.  ``meter`` is
+    the search's real meter, or ``None`` for an ungoverned search;
+    every other attribute delegates to it.
+    """
+
+    __slots__ = ("_plan", "_meter")
+
+    def __init__(self, plan: FaultPlan, meter: "BudgetMeter | None") -> None:
+        self._plan = plan
+        self._meter = meter
+
+    def tripped(self, nodes: int, paths: int, depth: int) -> str | None:
+        if self._plan.should_fail_edge():
+            raise InjectedFaultError(
+                "graph.edges_from", f"adjacency read of expansion {nodes}"
+            )
+        meter = self._meter
+        return None if meter is None else meter.tripped(nodes, paths, depth)
+
+    def __getattr__(self, name: str):
+        return getattr(self._meter, name)
+
+    def __repr__(self) -> str:
+        return f"FaultyMeter({self._meter!r}, injected={self._plan.injection_count})"
+
+
 class FaultyGraph:
     """A :class:`~repro.model.graph.SchemaGraph` proxy with scheduled
     ``edges_from`` failures and latency.
 
-    Only the traversal-facing adjacency read is intercepted; every
-    other attribute (``schema``, ``nodes``, ``fingerprint``, ...)
-    delegates to the wrapped graph, so the proxy drops into
-    :class:`~repro.core.completion.CompletionSearch` unchanged.
+    Only the adjacency read is intercepted; every other attribute
+    (``schema``, ``nodes``, ``fingerprint``, ...) delegates to the
+    wrapped graph.  Searches do not read it — they walk the closure's
+    tables and draw their faults through :class:`FaultyMeter` — so it
+    covers the adjacency reads made outside the search loop.
     """
 
     def __init__(self, graph: "SchemaGraph", plan: FaultPlan) -> None:
@@ -181,7 +229,8 @@ class FaultyCache:
 
     Deliberately *not* able to raise — the cache contract downstream is
     "may lose entries, never lies" — so chaos runs distinguish degraded
-    performance (this wrapper) from hard faults (:class:`FaultyGraph`).
+    performance (this wrapper) from hard faults (:class:`FaultyMeter`,
+    :class:`FaultyGraph`).
     """
 
     def __init__(self, cache, plan: FaultPlan) -> None:
@@ -216,11 +265,17 @@ class _Injection:
         self.plan = plan
         self._graph = compiled.graph
         self._cache = compiled.cache
+        self._search_class = compiled.__dict__.get("search_class")
 
     def restore(self) -> None:
-        self.compiled.graph = self._graph
-        self.compiled.cache = self._cache
-        self.compiled._searches.clear()
+        compiled = self.compiled
+        compiled.graph = self._graph
+        compiled.cache = self._cache
+        if self._search_class is None:
+            del compiled.search_class
+        else:
+            compiled.search_class = self._search_class
+        compiled._searches.clear()
 
     def __enter__(self) -> FaultPlan:
         return self.plan
@@ -230,10 +285,14 @@ class _Injection:
 
 
 def inject(compiled: "CompiledSchema", plan: FaultPlan) -> _Injection:
-    """Rewire a compiled artifact's graph and cache through ``plan``.
+    """Rewire a compiled artifact's searches, graph and cache through
+    ``plan``.
 
-    Memoized searchers are cleared so every search built afterwards
-    traverses the faulty graph.  Use as a context manager (or call
+    Every search the artifact hands out afterwards runs under a
+    :class:`FaultyMeter`, so its faults fire inside the search loop;
+    the graph becomes a :class:`FaultyGraph` for the reads outside it.
+    Memoized searchers are cleared so engines built afterwards get the
+    faulty ones.  Use as a context manager (or call
     ``.restore()``) to undo — shared registry artifacts must not leak
     faults into other tests::
 
@@ -244,6 +303,19 @@ def inject(compiled: "CompiledSchema", plan: FaultPlan) -> _Injection:
     sessions are concurrently querying.
     """
     handle = _Injection(compiled, plan)
+
+    class FaultySearch(compiled.search_class):
+        """The artifact's search type, its meter drawing ``plan``."""
+
+        def run(self, root, target, budget=None, meter=None):
+            if meter is None:
+                if budget is None:
+                    budget = get_budget()
+                if budget is not None and not budget.is_unlimited:
+                    meter = budget.start()
+            return super().run(root, target, meter=FaultyMeter(plan, meter))
+
+    compiled.search_class = FaultySearch
     compiled.graph = FaultyGraph(compiled.graph, plan)
     compiled.cache = FaultyCache(compiled.cache, plan)
     compiled._searches.clear()

@@ -81,8 +81,7 @@ class TestBudgetIsolation:
         # A node cap the small queries fit comfortably but the heavy
         # acceptance query cannot at any rung of the degradation ladder
         # (closure-pruned it still needs ~700 expansions at E=1).  The
-        # cap is calibrated to closure-mode costs, so the mode is pinned
-        # against the REPRO_PRUNING=none CI leg.
+        # cap is calibrated to closure-mode costs, so the mode is pinned.
         engine = Disambiguator(
             CompiledSchema(cupid),
             e=3,

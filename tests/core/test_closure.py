@@ -4,22 +4,20 @@ The contract under test is absolute: closure-guided pruning is an
 *admissible* optimization — for every schema, root, target, and E the
 pruned search must return byte-identical results (paths, labels,
 exhausted flag) to the paper's Algorithm 2, while visiting fewer nodes.
+The reference side of every equivalence here is the verbatim loop in
+``tests/reference_search.py``.
 """
 
 import pytest
 
-from repro.core.closure import (
-    PRUNING_MODES,
-    SchemaClosure,
-    has_static_adjacency,
-    resolve_pruning,
-)
+from repro.core.closure import PRUNING_MODES, SchemaClosure, resolve_pruning
 from repro.core.compiled import CompiledSchema
 from repro.core.completion import CompletionSearch, complete_paths
 from repro.core.engine import Disambiguator
 from repro.core.target import ClassTarget, RelationshipTarget, Target
 from repro.model.graph import SchemaGraph
 from repro.schemas.generator import GeneratorConfig, generate_schema
+from tests.reference_search import reference_complete_paths
 
 
 def _snapshot(result):
@@ -64,25 +62,12 @@ class TestReachability:
 
 
 class TestKnobResolution:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRUNING", "none")
+    def test_explicit_value_wins(self):
         assert resolve_pruning("closure") == "closure"
-
-    def test_env_var_fills_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRUNING", "none")
-        assert resolve_pruning(None) == "none"
-        monkeypatch.delenv("REPRO_PRUNING")
-        assert resolve_pruning(None) == "closure"
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError, match="pruning must be one of"):
             resolve_pruning("aggressive")
-
-    def test_engine_honors_env_override(self, cupid, monkeypatch):
-        monkeypatch.setenv("REPRO_PRUNING", "none")
-        engine = Disambiguator(CompiledSchema(cupid))
-        assert engine.pruning == "none"
-        assert engine._search.closure is None
 
     def test_every_mode_is_constructible(self, university_graph):
         for mode in PRUNING_MODES:
@@ -91,40 +76,14 @@ class TestKnobResolution:
             assert result.paths
 
 
-class TestStaticAdjacency:
-    def test_plain_graph_qualifies(self, cupid_graph):
-        assert has_static_adjacency(cupid_graph)
-
-    def test_monkeypatched_graph_falls_back(self, cupid):
-        graph = SchemaGraph(cupid)
-        original = graph.edges_from
-        graph.edges_from = lambda node: original(node)
-        assert not has_static_adjacency(graph)
-        search = CompletionSearch(graph, pruning="closure")
-        assert search.closure is None  # reference loop despite the knob
-
-    def test_proxy_class_falls_back(self, cupid):
-        class Proxy:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def edges_from(self, node):
-                return self._inner.edges_from(node)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        assert not has_static_adjacency(Proxy(SchemaGraph(cupid)))
-
-
 class TestEquivalenceOnFixtures:
     """Pruned == unpruned on the repo's hand-built schemas."""
 
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_university_flagship(self, university_graph, e):
         target = RelationshipTarget("name")
-        reference = complete_paths(
-            university_graph, "ta", target, e=e, pruning="none"
+        reference = reference_complete_paths(
+            university_graph, "ta", target, e=e
         )
         pruned = complete_paths(
             university_graph, "ta", target, e=e, pruning="closure"
@@ -134,8 +93,8 @@ class TestEquivalenceOnFixtures:
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_cupid_acceptance_query(self, cupid_graph, e):
         target = RelationshipTarget("conductance")
-        reference = complete_paths(
-            cupid_graph, "experiment", target, e=e, pruning="none"
+        reference = reference_complete_paths(
+            cupid_graph, "experiment", target, e=e
         )
         pruned = complete_paths(
             cupid_graph, "experiment", target, e=e, pruning="closure"
@@ -152,8 +111,8 @@ class TestEquivalenceOnFixtures:
 
     def test_class_target_equivalence(self, cupid_graph):
         target = ClassTarget("field")
-        reference = complete_paths(
-            cupid_graph, "experiment", target, e=2, pruning="none"
+        reference = reference_complete_paths(
+            cupid_graph, "experiment", target, e=2
         )
         pruned = complete_paths(
             cupid_graph, "experiment", target, e=2, pruning="closure"
@@ -183,6 +142,10 @@ class TestEquivalenceOnFixtures:
         result = search.run("experiment", EveryEdge())
         assert result.stats.nodes_pruned_reachability == 0
         assert result.stats.nodes_pruned_bound == 0
+        reference = reference_complete_paths(
+            cupid_graph, "experiment", EveryEdge()
+        )
+        assert _snapshot(result) == _snapshot(reference)
 
 
 class TestEquivalenceOnRandomSchemas:
@@ -211,8 +174,8 @@ class TestEquivalenceOnRandomSchemas:
         compared = 0
         for root in roots:
             for target in targets:
-                reference = complete_paths(
-                    graph, root, target, e=e, pruning="none"
+                reference = reference_complete_paths(
+                    graph, root, target, e=e
                 )
                 pruned = complete_paths(
                     graph, root, target, e=e, pruning="closure"
@@ -248,8 +211,8 @@ class TestCautionExemption:
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_rescued_path_survives_the_bound_cut(self, cupid_graph, e):
         target = RelationshipTarget("capacity")
-        reference = complete_paths(
-            cupid_graph, "output_spec", target, e=e, pruning="none"
+        reference = reference_complete_paths(
+            cupid_graph, "output_spec", target, e=e
         )
         pruned = complete_paths(
             cupid_graph, "output_spec", target, e=e, pruning="closure"
@@ -301,5 +264,5 @@ class TestStatsAndObservability:
         search = compiled.searcher(e=1, pruning="closure")
         assert search.closure is compiled.closure
         reference = compiled.searcher(e=1, pruning="none")
-        assert reference.closure is None
+        assert reference.closure is compiled.closure
         assert search is not reference

@@ -91,3 +91,17 @@ class TestRestriction:
             domain_knowledge=DomainKnowledge.excluding("course"),
         ).complete("department ~ ssn")
         assert set(restricted.expressions) <= set(baseline.expressions)
+
+    @pytest.mark.parametrize("pruning", ["closure", "none"])
+    def test_excluded_root_roots_no_completion(self, university, pruning):
+        """Exclusion removes the class from the traversal view, so a
+        query rooted there has no completion — in both pruning modes,
+        as an empty exhaustive result rather than a raw lookup error."""
+        result = Disambiguator(
+            university,
+            domain_knowledge=DomainKnowledge.excluding("ta"),
+            pruning=pruning,
+        ).complete("ta ~ name")
+        assert result.paths == ()
+        assert result.exhausted
+        assert result.support == frozenset({"ta"})

@@ -1,8 +1,8 @@
 """The flat search kernel — equivalence, tables, and the audit log.
 
-``repro.core.kernel.run_flat`` is the only closure-mode search loop.
-Its contract is *answer identity* with the paper's Algorithm 2 as
-written (``pruning="none"``, the reference loop): the same ranked
+``repro.core.kernel.run_flat`` is the only search loop.  Its contract
+is *answer identity* with the paper's Algorithm 2 as written (the
+verbatim loop in ``tests/reference_search.py``): the same ranked
 paths, labels, semantic lengths, and anytime flags across schemas, E
 levels, ablation flags, and depth caps.  These tests enforce that over
 the bundled schemas and a family of generated random schemas, verify
@@ -46,6 +46,7 @@ from repro.schemas import (
     build_university_schema,
 )
 from repro.schemas.generator import GeneratorConfig, generate_schema
+from tests.reference_search import reference_engine
 
 QUERIES = [
     "ta ~ name",
@@ -117,13 +118,13 @@ def _outcome(engine, text, budget=None):
 
 
 def _paired_engines(schema, **kwargs):
-    """Fresh reference/flat engines that share no registry artifact.
+    """Fresh oracle/flat engines that share no registry artifact.
 
     Each gets its own :class:`CompiledSchema` built after an
     ``invalidate()`` so the flat side pays its own cold table builds.
     """
     compiled_mod.invalidate()
-    reference = Disambiguator(CompiledSchema(schema), pruning="none", **kwargs)
+    reference = reference_engine(schema, **kwargs)
     compiled_mod.invalidate()
     flat = Disambiguator(CompiledSchema(schema), pruning="closure", **kwargs)
     return reference, flat

@@ -97,8 +97,8 @@ class TestProcessBatchEndToEnd:
         assert len(engine.compiled.cache) == cached
 
     def test_flat_kernel_crosses_the_boundary(self, university):
-        """A batch on the flat closure kernel returns the reference
-        loop's answers."""
+        """A batch on the flat closure kernel returns the unpruned
+        search's answers."""
         reference = _fresh_engine(university, pruning="none")
         expected = [_snapshot(reference.complete(q)) for q in QUERIES]
         engine = _fresh_engine(university, pruning="closure")

@@ -88,9 +88,8 @@ class TestEngineIntegration:
         log = SlowQueryLog(threshold_ms=0.0)
         # A fresh (non-memoized) artifact so the completion cache is
         # cold and the span tree shows a full traverse, regardless of
-        # what earlier tests completed.  Pruning is pinned so the
-        # stamped-mode assertion below holds under the REPRO_PRUNING
-        # matrix legs too.
+        # what earlier tests completed.  Pruning is pinned, so the
+        # stamped-mode assertion below reads the mode it set.
         engine = Disambiguator(
             CompiledSchema(build_university_schema()), pruning="closure"
         )
@@ -166,7 +165,7 @@ class TestExport:
     def test_jsonl_validates_against_checked_in_schema(self):
         log = SlowQueryLog(threshold_ms=0.0)
         # Pinned pruning: the exported records' stamped mode is
-        # asserted literally below, independent of REPRO_PRUNING.
+        # asserted literally below.
         engine = Disambiguator(build_university_schema(), pruning="closure")
         with use_slowlog(log):
             engine.complete("ta ~ name")

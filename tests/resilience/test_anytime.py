@@ -2,6 +2,8 @@
 its degradation ladder), and general multi-``~`` completion — including
 the hard invariant that truncated results never reach the cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.compiled import CompiledSchema
@@ -11,10 +13,9 @@ from repro.core.multi import complete_general
 from repro.core.parser import parse_path_expression
 from repro.core.target import RelationshipTarget
 from repro.errors import BudgetExceededError
-from repro.model.graph import SchemaGraph
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.resilience.budget import Budget, TruncationReason, use_budget
-from repro.resilience.faults import FakeClock
+from repro.resilience.faults import FakeClock, FaultPlan, inject
 
 
 @pytest.fixture(scope="module")
@@ -69,29 +70,20 @@ class TestSearchTrips:
 
     def test_deadline_trip_on_virtual_clock(self, cupid_compiled):
         clock = FakeClock()
-        original_edges_from = cupid_compiled.graph.edges_from
-
-        def slow_edges_from(node):
-            clock.advance(0.010)
-            return original_edges_from(node)
-
-        graph = SchemaGraph(cupid_compiled.schema)
-        graph.edges_from = slow_edges_from
         budget = Budget(
             max_seconds=0.5,
             clock=clock,
             check_interval=1,
             partial_ok=True,
         )
-        # pruning="none": the virtual clock advances via edges_from,
-        # which only the reference loop calls per node (the closure loop
-        # walks precomputed edge lists).
-        search = CompletionSearch(
-            graph, order=cupid_compiled.order, e=1, pruning="none"
-        )
-        result = search.run(
-            "experiment", RelationshipTarget("conductance"), budget=budget
-        )
+        # Injected latency advances the virtual clock on every node
+        # expansion, inside the search loop.
+        plan = FaultPlan(edge_latency=0.010, clock=clock)
+        with inject(cupid_compiled, plan):
+            search = cupid_compiled.searcher(e=1)
+            result = search.run(
+                "experiment", RelationshipTarget("conductance"), budget=budget
+            )
         assert result.truncation_reason == TruncationReason.DEADLINE
 
     def test_unbudgeted_run_is_unaffected(self, cupid_compiled):
@@ -246,26 +238,41 @@ class TestGeneralExpressions:
         assert result.paths
 
 
+#: Virtual latency per node expansion for the acceptance scenario: a
+#: 50 ms deadline then trips after 25 expansions at every rung of the
+#: degradation ladder, where the real search finishes in a few ms.
+ACCEPTANCE_LATENCY = 0.002
+
+
+def _virtual_deadline(clock, partial_ok=False):
+    """The scenario's 50 ms deadline, read on ``clock``."""
+    return dataclasses.replace(
+        Budget.from_millis(50, partial_ok=partial_ok), clock=clock
+    )
+
+
 class TestAcceptanceCriterion:
     def test_cupid_e3_with_50ms_deadline_returns_quickly_flagged(self, cupid):
         """The resilience acceptance scenario: a CUPID E=3 completion
         under a 50ms deadline must come back promptly as a flagged
         partial (or a degraded answer) instead of running multi-second.
 
-        Pinned to ``pruning="none"``: the scenario exercises the budget
-        envelope around the heavy *ungoverned* Algorithm 2 search.  The
-        closure-pruned loop finishes this query exhaustively inside
-        50ms, so the trip would never fire."""
+        The search is slowed by injected latency on a virtual clock, so
+        the deadline trips at every rung however fast the real search
+        is."""
         import time
 
         compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=3, pruning="none")
-        started = time.perf_counter()
-        result = engine.complete(
-            "experiment ~ conductance",
-            budget=Budget.from_millis(50, partial_ok=True),
-        )
-        elapsed = time.perf_counter() - started
+        clock = FakeClock()
+        plan = FaultPlan(edge_latency=ACCEPTANCE_LATENCY, clock=clock)
+        with inject(compiled, plan):
+            engine = Disambiguator(compiled, e=3)
+            started = time.perf_counter()
+            result = engine.complete(
+                "experiment ~ conductance",
+                budget=_virtual_deadline(clock, partial_ok=True),
+            )
+            elapsed = time.perf_counter() - started
         assert not result.exhausted
         assert result.truncation_reason is not None
         # Ladder retries re-arm the deadline, so allow a few rungs plus
@@ -275,15 +282,19 @@ class TestAcceptanceCriterion:
 
     def test_cupid_e3_with_50ms_deadline_raises_with_payload(self, cupid):
         compiled = CompiledSchema(cupid)
-        engine = Disambiguator(compiled, e=3, pruning="none")
-        try:
-            result = engine.complete(
-                "experiment ~ conductance", budget=Budget.from_millis(50)
-            )
-        except BudgetExceededError as error:
-            assert error.partial is not None
-            assert not error.partial.exhausted
-        else:
-            # The ladder may still land an exhaustive lower-E answer in
-            # time; then the result must carry the degraded flag.
-            assert result.truncation_reason is not None
+        clock = FakeClock()
+        plan = FaultPlan(edge_latency=ACCEPTANCE_LATENCY, clock=clock)
+        with inject(compiled, plan):
+            engine = Disambiguator(compiled, e=3)
+            try:
+                result = engine.complete(
+                    "experiment ~ conductance",
+                    budget=_virtual_deadline(clock),
+                )
+            except BudgetExceededError as error:
+                assert error.partial is not None
+                assert not error.partial.exhausted
+            else:
+                # The ladder may still land an exhaustive lower-E answer
+                # in time; then the result must carry the degraded flag.
+                assert result.truncation_reason is not None

@@ -9,13 +9,23 @@ resilience contract:
 * the completion cache never holds a non-exhausted result, no matter
   how the run was interrupted;
 * the interactive session and the experiment harness keep going.
+
+A search draws its faults inside the search loop
+(:func:`repro.core.kernel.run_flat`), through the budget meter it
+checks on every expansion; :class:`TestFaultsFireInTheSearchLoop`
+replays each scenario's plan and checks where every draw happened.
 """
+
+import sys
+import traceback
 
 import pytest
 
+from repro.core import kernel
 from repro.core.compiled import CompiledSchema
+from repro.core.completion import CompletionSearch
 from repro.core.engine import Disambiguator
-from repro.errors import ReproError
+from repro.errors import InjectedFaultError, ReproError
 from repro.experiments.harness import run_workload
 from repro.experiments.workload import build_cupid_workload
 from repro.query.session import CompletionSession
@@ -161,3 +171,124 @@ class TestChaosHarness:
             )
         assert len(outcomes) == len(build_cupid_workload())
         _assert_cache_is_clean(compiled)
+
+
+def _running(code) -> bool:
+    """True when a frame of ``code`` is on the caller's stack."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is code:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _record_draws(plan):
+    """Log, per adjacency-fault draw, whether it happened inside
+    ``run_flat`` and whether inside a search at all."""
+    draws = []
+    draw = plan.should_fail_edge
+
+    def recorded():
+        draws.append(
+            (
+                _running(kernel.run_flat.__code__),
+                _running(CompletionSearch.run.__code__),
+            )
+        )
+        return draw()
+
+    plan.should_fail_edge = recorded
+    return draws
+
+
+#: ``(scenario, schema fixture, plan, queries)`` — the plans of the
+#: chaos scenarios in this package and in ``tests/serve``.
+SCENARIOS = [
+    ("edge-faults", "university", dict(edge_fail_rate=0.2), ["ta ~ name"]),
+    ("session-storm", "university", dict(edge_fail_rate=0.3), ["ta ~ name"]),
+    (
+        "harness",
+        "cupid",
+        dict(edge_fail_rate=0.05),
+        ["experiment ~ conductance", "crop ~ depth"],
+    ),
+    (
+        "batch-storm",
+        "university",
+        dict(edge_fail_rate=0.3, cache_miss_rate=0.5, cache_drop_rate=0.5),
+        ["ta ~ name", "student.take.teacher", "student ~ dept"],
+    ),
+    (
+        "serve-storm",
+        "university",
+        dict(edge_fail_rate=0.1, cache_miss_rate=0.3, cache_drop_rate=0.3),
+        ["ta ~ name", "teacher ~ name"],
+    ),
+    ("flaky-prewarm", "university", dict(edge_fail_rate=0.01), ["ta ~ name"]),
+    ("total-failure", "university", dict(edge_fail_rate=1.0), ["ta ~ name"]),
+]
+
+
+class TestFaultsFireInTheSearchLoop:
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    @pytest.mark.parametrize(
+        "scenario, schema_name, rates, queries",
+        SCENARIOS,
+        ids=[scenario[0] for scenario in SCENARIOS],
+    )
+    def test_search_faults_fire_inside_run_flat(
+        self, request, seed, scenario, schema_name, rates, queries
+    ):
+        compiled = CompiledSchema(request.getfixturevalue(schema_name))
+        plan = FaultPlan(seed=seed, **rates)
+        draws = _record_draws(plan)
+        faults = []
+        with inject(compiled, plan):
+            engine = Disambiguator(compiled)
+            for _ in range(5):
+                for query in queries:
+                    try:
+                        engine.complete(query)
+                    except InjectedFaultError as error:
+                        faults.append(error)
+        # Every draw a search made came from inside the search loop;
+        # draws outside any search are the adjacency reads of complete
+        # expressions.
+        assert draws and any(in_loop for in_loop, _ in draws)
+        assert all(in_loop for in_loop, in_search in draws if in_search)
+        # And every fault a search raised unwound out of run_flat.
+        for error in faults:
+            frames = [frame for frame, _ in traceback.walk_tb(error.__traceback__)]
+            in_search = any(
+                frame.f_code is CompletionSearch.run.__code__ for frame in frames
+            )
+            in_loop = any(
+                frame.f_code is kernel.run_flat.__code__ for frame in frames
+            )
+            assert in_loop or not in_search
+        # Each injected adjacency fault surfaced as one typed error.
+        assert len(faults) == plan.injected.count("graph.edges_from")
+        if rates["edge_fail_rate"] == 1.0:
+            assert faults
+        _assert_cache_is_clean(compiled)
+
+    def test_virtual_latency_advances_inside_run_flat(self, university):
+        """The deadline scenario's latency is charged per expansion."""
+        clock = FakeClock()
+        compiled = CompiledSchema(university)
+        plan = FaultPlan(seed=3, edge_latency=0.02, clock=clock)
+        draws = _record_draws(plan)
+        with inject(compiled, plan):
+            result = Disambiguator(compiled).complete(
+                "ta ~ name",
+                budget=Budget(
+                    max_seconds=0.05,
+                    clock=clock,
+                    check_interval=1,
+                    partial_ok=True,
+                ),
+            )
+        assert result.truncation_reason == "deadline"
+        assert draws and all(in_loop for in_loop, _ in draws)
+        assert clock() == pytest.approx(0.02 * len(draws))

@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.compiled import CompiledSchema, CompletionCache
 from repro.errors import InjectedFaultError, ResilienceError
+from repro.resilience.budget import Budget
 from repro.resilience.faults import (
     FakeClock,
     FaultPlan,
     FaultyCache,
     FaultyGraph,
+    FaultyMeter,
     inject,
 )
 
@@ -89,6 +91,26 @@ class TestFaultyGraph:
         assert graph.schema is university_graph.schema
 
 
+class TestFaultyMeter:
+    def test_raises_injected_fault_on_schedule(self):
+        plan = FaultPlan(seed=0, edge_fail_rate=1.0)
+        meter = FaultyMeter(plan, None)
+        with pytest.raises(InjectedFaultError) as excinfo:
+            meter.tripped(1, 0, 0)
+        assert excinfo.value.site == "graph.edges_from"
+        assert isinstance(excinfo.value, ResilienceError)
+
+    def test_delegates_everything_else(self):
+        inner = Budget(max_nodes=3).start()
+        meter = FaultyMeter(FaultPlan(seed=0), inner)
+        assert meter.tripped(1, 0, 0) is None
+        assert meter.tripped(3, 0, 0) == "nodes"
+        assert meter.budget is inner.budget
+        assert meter.reason == "nodes"
+        # An ungoverned search's meter only draws the plan.
+        assert FaultyMeter(FaultPlan(seed=0), None).tripped(10**6, 0, 0) is None
+
+
 class TestFaultyCache:
     def test_forced_misses_and_dropped_puts(self):
         plan = FaultPlan(seed=0, cache_miss_rate=1.0, cache_drop_rate=1.0)
@@ -107,12 +129,16 @@ class TestInject:
     def test_inject_rewires_and_restore_undoes(self, university):
         compiled = CompiledSchema(university)
         graph, cache = compiled.graph, compiled.cache
+        search_class = compiled.search_class
         with inject(compiled, FaultPlan(seed=0)) as plan:
             assert isinstance(compiled.graph, FaultyGraph)
             assert isinstance(compiled.cache, FaultyCache)
+            assert issubclass(compiled.search_class, search_class)
+            assert compiled.search_class is not search_class
             assert plan.injection_count == 0
         assert compiled.graph is graph
         assert compiled.cache is cache
+        assert compiled.search_class is search_class
 
     def test_searchers_built_under_injection_see_faults(self, university):
         from repro.core.engine import Disambiguator

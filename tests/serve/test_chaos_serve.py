@@ -123,10 +123,10 @@ class TestServeChaos:
         tier = make_tier({"university": university})
         tenant = tier.tenants.get("university")
         try:
-            # One cold 'ta ~ name' completion makes ~111 adjacency
-            # reads, so even a small per-read rate compounds hard; at
-            # 0.01 this seed injects 3 faults before an attempt gets
-            # through — real retries, deterministic outcome.
+            # One cold 'ta ~ name' completion makes 24 node expansions,
+            # each drawing from the plan inside the search loop; at 0.01
+            # this seed injects one fault before an attempt gets
+            # through — a real retry, deterministic outcome.
             plan = FaultPlan(seed=1, edge_fail_rate=0.01)
             with inject(tenant.compiled, plan):
                 warmed = prewarm_tenant(

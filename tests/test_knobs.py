@@ -12,10 +12,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Every ``REPRO_*`` environment variable the package reads.
-KNOBS = ["REPRO_PRUNING"]
+KNOBS = []
 
 #: The only modules that read the environment at all.
-ENV_READERS = ["repro/core/closure.py"]
+ENV_READERS = []
 
 _NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
