@@ -147,7 +147,7 @@ def test_cross_mode_diff_sweep(cupid, oracle):
 
     explained = sum(len(diff.explained) for diff in diffs)
     saved = sum(
-        diff.reference_expansions - diff.closure_expansions for diff in diffs
+        diff.none_expansions - diff.closure_expansions for diff in diffs
     )
     record_bench(
         "audit.diff_sweep_seconds",
@@ -157,7 +157,7 @@ def test_cross_mode_diff_sweep(cupid, oracle):
         quick=QUICK,
     )
     emit(
-        "Search audit: reference-vs-closure diff sweep",
+        "Search audit: none-vs-closure diff sweep",
         "\n".join(
             [
                 f"{len(diffs)} query/E combination(s) at E=1..{E_MAX}: "

@@ -116,7 +116,14 @@ class PathExpression:
         return PathLabel.of_path(self.connectors())
 
     def __str__(self) -> str:
-        return self.root + "".join(str(step) for step in self.steps)
+        """The normalized text, rendered once per expression and kept
+        in the instance ``__dict__`` (the parser hands every call for a
+        remembered text the same frozen object)."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.root + "".join(str(step) for step in self.steps)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @dataclasses.dataclass(frozen=True)

@@ -85,11 +85,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 from repro.algebra.labels import IDENTITY_LABEL
 from repro.obs.reqlog import get_request_id
+from repro.scope import current, scoped
 
 __all__ = [
     "AuditNode",
@@ -155,6 +154,15 @@ class SearchAuditLog:
         self.records.append(entry)
         return entry
 
+    def retract(self, entries: list[dict]) -> None:
+        """Drop ``entries`` (records :meth:`record` returned) and number
+        the rest ``seq`` 0, 1, ... again."""
+        gone = {id(entry) for entry in entries}
+        kept = [record for record in self.records if id(record) not in gone]
+        for seq, record in enumerate(kept):
+            record["seq"] = seq
+        self.records[:] = kept
+
     def clear(self) -> None:
         self.records.clear()
 
@@ -200,24 +208,17 @@ class SearchAuditLog:
 
 
 _NULL_AUDIT = NullAuditLog()
-_ACTIVE: ContextVar[NullAuditLog | SearchAuditLog] = ContextVar(
-    "repro_audit", default=_NULL_AUDIT
-)
 
 
 def get_audit() -> NullAuditLog | SearchAuditLog:
     """The ambient audit log (the shared no-op unless one is installed)."""
-    return _ACTIVE.get()
+    audit = current().audit
+    return _NULL_AUDIT if audit is None else audit
 
 
-@contextmanager
-def use_audit(audit: NullAuditLog | SearchAuditLog):
+def use_audit(audit: NullAuditLog | SearchAuditLog) -> scoped:
     """Install ``audit`` as the ambient log for the ``with`` body."""
-    token = _ACTIVE.set(audit)
-    try:
-        yield audit
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(audit, audit=audit)
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +583,7 @@ class QueryDiff:
     query: str
     e: int
     identical_results: bool
-    reference_expansions: int
+    none_expansions: int
     closure_expansions: int
     explained: list[Divergence]
     unexplained: list[Divergence]
@@ -600,8 +601,8 @@ class QueryDiff:
         status = "OK" if self.ok else "FAIL"
         lines = [
             f"[{status}] {self.query} (e={self.e}): "
-            f"{self.reference_expansions} reference vs "
-            f"{self.closure_expansions} closure expansions, "
+            f"{self.none_expansions} expansions under pruning=none vs "
+            f"{self.closure_expansions} under closure, "
             f"{len(self.explained)} divergence(s) explained, "
             f"{len(self.unexplained)} unexplained, results "
             + ("identical" if self.identical_results else "DIFFER")
@@ -745,7 +746,7 @@ def diff_modes(schema, text: str, e: int = 1, order=None) -> QueryDiff:
         query=text,
         e=e,
         identical_results=identical,
-        reference_expansions=len(ref_log.of_kind("expand")),
+        none_expansions=len(ref_log.of_kind("expand")),
         closure_expansions=len(clo_log.of_kind("expand")),
         explained=explained,
         unexplained=unexplained,

@@ -201,8 +201,9 @@ def run_flat(
       ``tables.reach_dropped`` at table build; each entry charges them
       to ``stats.nodes_pruned_reachability``.  Uncut tables drop only
       the dead ends, which each entry charges to
-      ``stats.edges_considered`` as the paper's loop does (on a budget
-      trip, only those the paper's loop would have reached);
+      ``stats.edges_considered`` as the paper's loop does, and an
+      audited search records as ``dead_end`` cuts (on a budget trip,
+      count and records keep only those the paper's loop had reached);
     * *label-bound pruning* (off on uncut tables) — after the line-12
       ``best[u]`` update (so the frontier evolves exactly as in the
       paper's loop), a child is
@@ -265,7 +266,7 @@ def run_flat(
     drop_rule = "dead_end" if uncut else "reachability"
 
     def audit_cut(rule, node_i, depth, edge, **evidence):
-        audit_record(
+        return audit_record(
             "cut",
             rule=rule,
             node=nodes[node_i],
@@ -312,6 +313,10 @@ def run_flat(
     rescued_by_caution = 0
     dropped = 0  # reachability cuts, or dead ends on uncut tables
     nodes_pruned_bound = 0
+    # Audited uncut searches: per open node, its dead-end cut records,
+    # which a budget trip takes back where the paper's loop had not
+    # reached them yet.
+    dead_end_records: list = [()] * len(interior) if audit_on and uncut else []
 
     path_edges: list = []
     path_edges_append = path_edges.append
@@ -338,8 +343,12 @@ def run_flat(
                         label=_label_str(ci_of[lstate], length),
                         length=length,
                     )
-                    for drop in reach_dropped[node_i]:
+                    drops = [
                         audit_cut(drop_rule, node_i, depth, drop)
+                        for drop in reach_dropped[node_i]
+                    ]
+                    if uncut:
+                        dead_end_records[node_i] = drops
                 if meter is not None:
                     reason = meter.tripped(
                         recursive_calls, len(complete_rec), len(stack)
@@ -649,13 +658,20 @@ def run_flat(
         if uncut:
             # The paper's loop meets a dead end only when its edge comes
             # up: take back the tripped node's and, for every open
-            # frame, those after the edge it recursed through.
+            # frame, those after the edge it recursed through, from the
+            # count and from the audit stream alike.
             dropped -= reach_pruned[node_i]
+            unreached = list(dead_end_records[node_i]) if audit_on else []
             drops_after = tables.drops_after
             for frame in stack:
                 frame_i = frame[0]
                 taken = len(interior[frame_i]) - length_hint(frame[4])
-                dropped -= drops_after[frame_i][taken]
+                after = drops_after[frame_i][taken]
+                dropped -= after
+                if audit_on and after:
+                    unreached.extend(dead_end_records[frame_i][-after:])
+            if unreached:
+                audit.retract(unreached)
         raise
     finally:
         stats.recursive_calls += recursive_calls

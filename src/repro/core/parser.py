@@ -9,17 +9,27 @@ Grammar::
 Whitespace is permitted around connectors (the paper writes both
 ``ta~name`` and ``ta ~ name``).  Connector tokens are matched longest
 first so ``<@`` never parses as ``<`` + ``@``.
+
+A :class:`PathExpression` is frozen, so each distinct text is parsed
+once: :func:`parse_path_expression` keeps the last
+:data:`PARSE_MEMO_SIZE` texts it parsed.  A text that fails to parse is
+not kept, and raises again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.algebra.connectors import Connector
 from repro.core.ast import PathExpression, Step
 from repro.errors import PathSyntaxError
 
-__all__ = ["parse_path_expression", "tokenize"]
+__all__ = ["PARSE_MEMO_SIZE", "parse_path_expression", "tokenize"]
+
+#: How many distinct expression texts :func:`parse_path_expression`
+#: remembers (least recently used out first).
+PARSE_MEMO_SIZE = 1024
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 
@@ -66,6 +76,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_path_expression(text: str) -> PathExpression:
     """Parse expression text into a :class:`PathExpression`.
 

@@ -15,15 +15,15 @@ effectiveness).  This package makes that visible at every layer:
   (the stats dataclass is a carrier, not the terminal sink).  The
   default registry is likewise a no-op; histograms keep an unbiased
   Algorithm-R reservoir for quantiles.
-* :mod:`repro.obs.promtext` / :mod:`repro.obs.serve` — the registry in
-  Prometheus text exposition format, on stdout or over a stdlib HTTP
-  scrape endpoint (``python -m repro.obs.serve``).
+* :mod:`repro.obs.promtext` — the registry in Prometheus text
+  exposition format, on stdout or in a file; the serving tier
+  (:mod:`repro.serve`) serves it at ``GET /metrics``.
 * :mod:`repro.obs.slowlog` — tail-based slow-query retention: only
   queries over a latency threshold, in the current top-K, or promoted
   (head-sampled or failed) keep their full span tree, query text, E,
   and budget outcome.
 * :mod:`repro.obs.reqlog` — request-scoped identity: request IDs on an
-  ambient contextvar, Bernoulli head sampling, and the structured
+  ambient scope, Bernoulli head sampling, and the structured
   JSONL access log the serving tier writes per request.
 * :mod:`repro.obs.slo` — rolling-window SLO monitoring with
   multi-window burn-rate alerting (availability and latency
@@ -39,7 +39,8 @@ effectiveness).  This package makes that visible at every layer:
   silently drift.
 
 Everything is ambient (:func:`use_tracer` / :func:`use_metrics` /
-:func:`use_slowlog` install into a :mod:`contextvars` context), so
+:func:`use_slowlog` install into the one :class:`repro.scope.Scope`
+of the current :mod:`contextvars` context), so
 engines, sessions, fox queries, and the experiments harness need no
 extra plumbing parameters.
 """
@@ -104,11 +105,10 @@ from repro.obs.tracer import (
     use_tracer,
 )
 
-#: Names resolved lazily (PEP 562) from the runnable submodules, so
-#: ``python -m repro.obs.serve`` / ``python -m repro.obs.perf`` don't
-#: trip runpy's already-imported warning on package import.
+#: Names resolved lazily (PEP 562) from the runnable submodule, so
+#: ``python -m repro.obs.perf`` doesn't trip runpy's already-imported
+#: warning on package import.
 _LAZY = {
-    "MetricsServer": "repro.obs.serve",
     "BenchRecord": "repro.obs.perf",
     "append_records": "repro.obs.perf",
     "compare": "repro.obs.perf",
@@ -133,7 +133,6 @@ __all__ = [
     "DEFAULT_PROFILED_SPANS",
     "HeadSampler",
     "MetricsRegistry",
-    "MetricsServer",
     "NullMetricsRegistry",
     "NullSlowQueryLog",
     "NullTracer",

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import TYPE_CHECKING
+
+from repro.scope import current, scoped
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.core.stats import TraversalStats
@@ -185,8 +185,10 @@ class Histogram:
                 self._values.append(value)
             else:
                 # Algorithm R: keep each of the count observations with
-                # probability RESERVOIR_SIZE/count.
-                slot = self._random.randrange(self.count)
+                # probability RESERVOIR_SIZE/count.  (random() scaled
+                # rather than randrange, whose pure-Python rejection
+                # loop would run on every observation past saturation.)
+                slot = int(self._random.random() * self.count)
                 if slot < RESERVOIR_SIZE:
                     self._values[slot] = value
 
@@ -470,21 +472,13 @@ class NullMetricsRegistry:
 
 _NULL_METRICS = NullMetricsRegistry()
 
-_ACTIVE: ContextVar[MetricsRegistry | NullMetricsRegistry] = ContextVar(
-    "repro_metrics", default=_NULL_METRICS
-)
-
 
 def get_metrics() -> MetricsRegistry | NullMetricsRegistry:
     """The registry instrumented code should record into."""
-    return _ACTIVE.get()
+    metrics = current().metrics
+    return _NULL_METRICS if metrics is None else metrics
 
 
-@contextmanager
-def use_metrics(registry: MetricsRegistry | NullMetricsRegistry):
+def use_metrics(registry: MetricsRegistry | NullMetricsRegistry) -> scoped:
     """Install ``registry`` as the ambient registry for the with-block."""
-    token = _ACTIVE.set(registry)
-    try:
-        yield registry
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(registry, metrics=registry)

@@ -9,15 +9,15 @@ module supplies the correlation key and the first place it lands:
 * **Request IDs.**  Every request gets one: an inbound ``X-Request-Id``
   is honoured after sanitation (:func:`clean_request_id` — bounded
   length, conservative charset, so a hostile header cannot smuggle
-  bytes into logs), otherwise :func:`mint_request_id` generates a fresh
-  UUID hex.  The ID is stamped into the response header, the access
-  log, the slow-log entry's attributes, the audit log's ``search``
-  record, and the root span of a sampled trace.
+  bytes into logs), otherwise :func:`mint_request_id` generates 128
+  fresh random bits in hex.  The ID is stamped into the response
+  header, the access log, the slow-log entry's attributes, the audit
+  log's ``search`` record, and the root span of a sampled trace.
 
-* **Ambient request context.**  :class:`RequestContext` rides a
-  :mod:`contextvars` ContextVar (:func:`use_request` /
-  :func:`get_request` / :func:`get_request_id`) in the style of the
-  tracer and metrics registry, so the engine-side hooks (slowlog,
+* **Ambient request context.**  :class:`RequestContext` rides the
+  ambient :class:`repro.scope.Scope` (:func:`use_request` /
+  :func:`get_request` / :func:`get_request_id`) beside the tracer and
+  metrics registry, so the engine-side hooks (slowlog,
   audit) pick the ID up without any parameter threading.  The default
   is ``None`` and every consumer guards on it, preserving the
   no-instrumentation overhead contract.
@@ -39,15 +39,15 @@ module supplies the correlation key and the first place it lands:
 
 from __future__ import annotations
 
-import contextlib
 import json
+import os
 import random
 import threading
 import time
-import uuid
 from collections import deque
-from contextvars import ContextVar
-from typing import IO, Iterator
+from typing import IO
+
+from repro.scope import current, scoped
 
 __all__ = [
     "ACCESS_LOG_VERSION",
@@ -90,8 +90,8 @@ OUTCOMES = (
 
 
 def mint_request_id() -> str:
-    """A fresh 32-hex-character request ID."""
-    return uuid.uuid4().hex
+    """A fresh 32-hex-character request ID (128 random bits)."""
+    return os.urandom(16).hex()
 
 
 def clean_request_id(raw: str | None) -> str | None:
@@ -130,32 +130,20 @@ class RequestContext:
         )
 
 
-_ACTIVE: ContextVar[RequestContext | None] = ContextVar(
-    "repro_request", default=None
-)
-
-
 def get_request() -> RequestContext | None:
     """The ambient request context, or ``None`` outside a request."""
-    return _ACTIVE.get()
+    return current().request
 
 
 def get_request_id() -> str | None:
     """The ambient request ID, or ``None`` outside a request."""
-    context = _ACTIVE.get()
+    context = current().request
     return context.request_id if context is not None else None
 
 
-@contextlib.contextmanager
-def use_request(context: RequestContext | None) -> Iterator[
-    RequestContext | None
-]:
+def use_request(context: RequestContext | None) -> scoped:
     """Install ``context`` as the ambient request for the with-block."""
-    token = _ACTIVE.set(context)
-    try:
-        yield context
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(context, request=context)
 
 
 class HeadSampler:

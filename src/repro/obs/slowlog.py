@@ -28,6 +28,13 @@ traversal stats, and the full trace-event subtree; exports carry
 checked-in ``slowlog_entry.schema.json``, which rejects records from
 older versions.
 
+An entry keeps the closed span tree and the stats object, and exports
+them (:attr:`SlowLogEntry.spans`, :attr:`SlowLogEntry.stats`) on first
+read: with the serving tier's default threshold of 0 ms every request
+is retained into the ring, and most entries are evicted unread.  A
+closed span holds no reference to its tracer, so a kept tree is
+acyclic and an evicted entry is freed by reference counting alone.
+
 Like the tracer and metrics registry, the ambient default
 (:func:`get_slowlog`) is a shared no-op whose :attr:`enabled` flag the
 hot path checks first, preserving the <5% no-instrumentation overhead
@@ -38,16 +45,15 @@ observation wins (a session ``ask`` logs one entry, not one per nested
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import json
 import threading
 import time
 from collections import deque
-from contextvars import ContextVar
-from typing import IO, Iterator
+from typing import IO
 
-from repro.obs.tracer import RecordingTracer, get_tracer, use_tracer
+from repro.obs.tracer import RecordingTracer, span_events
+from repro.scope import current, enter, restore, scoped
 
 __all__ = [
     "NullSlowQueryLog",
@@ -81,7 +87,11 @@ RETAINED_PROMOTED = "promoted"
 
 
 class SlowLogEntry:
-    """One retained slow query (mutable only inside the log's lock)."""
+    """One retained slow query (mutable only inside the log's lock).
+
+    ``spans`` and ``stats`` are exported from the kept span tree and
+    stats object when first read.
+    """
 
     __slots__ = (
         "seq",
@@ -94,9 +104,10 @@ class SlowLogEntry:
         "truncation_reason",
         "error",
         "retained",
-        "stats",
         "attrs",
-        "spans",
+        "_stats",
+        "_roots",
+        "_spans",
     )
 
     def __init__(
@@ -111,9 +122,9 @@ class SlowLogEntry:
         truncation_reason: str | None,
         error: str | None,
         retained: str,
-        stats: dict | None,
+        stats: object | None,
         attrs: dict,
-        spans: list[dict],
+        roots: list,
     ) -> None:
         self.seq = seq
         self.kind = kind
@@ -125,9 +136,26 @@ class SlowLogEntry:
         self.truncation_reason = truncation_reason
         self.error = error
         self.retained = retained
-        self.stats = stats
         self.attrs = attrs
-        self.spans = spans
+        self._stats = stats
+        self._roots = roots
+        self._spans: list[dict] | None = None
+
+    @property
+    def stats(self) -> dict | None:
+        """The traversal stats as a plain dict, or ``None``."""
+        stats = self._stats
+        if stats is not None and not isinstance(stats, dict):
+            stats = self._stats = stats.as_dict()
+        return stats
+
+    @property
+    def spans(self) -> list[dict]:
+        """The span trees as trace-event records, exported once."""
+        spans = self._spans
+        if spans is None:
+            spans = self._spans = span_events(self._roots)
+        return spans
 
     def to_record(self) -> dict:
         """The JSONL record (validates against the checked-in schema)."""
@@ -156,10 +184,14 @@ class SlowLogEntry:
 
 
 class Observation:
-    """Collector handed to the ``with slowlog.observe(...)`` body.
+    """One query under observation: what ``slowlog.observe(...)`` returns.
 
-    The instrumented entry point decorates it while the query runs:
-    :meth:`record_result` copies the budget outcome and stats off a
+    Entering it marks the context as observing, installs a private
+    :class:`RecordingTracer` when no real tracer is ambient (so a
+    retained entry always carries a span tree) and starts the clock;
+    leaving it records an escaping error and hands the query to the log
+    for retention.  In between, the instrumented entry point decorates
+    it: :meth:`record_result` takes the budget outcome and stats off a
     :class:`~repro.core.completion.CompletionResult`-shaped object;
     :meth:`set` attaches extra attributes (row counts, query ids).
     """
@@ -175,16 +207,23 @@ class Observation:
         "error",
         "stats",
         "promoted",
+        "_log",
+        "_tracer",
+        "_roots_before",
+        "_token",
+        "_start",
     )
 
     def __init__(
         self,
+        log: "SlowQueryLog",
         kind: str,
         query: str,
         e: int | None,
         attrs: dict,
         pruning: str,
     ) -> None:
+        self._log = log
         self.kind = kind
         self.query = query
         self.e = e
@@ -193,8 +232,38 @@ class Observation:
         self.exhausted = True
         self.truncation_reason: str | None = None
         self.error: str | None = None
-        self.stats: dict | None = None
+        self.stats: object | None = None
         self.promoted: str | None = None
+
+    def __enter__(self) -> "Observation":
+        scope = current()
+        tracer = scope.tracer
+        if tracer is not None and tracer.enabled:
+            self._roots_before = len(tracer.roots)
+        else:
+            tracer = RecordingTracer()
+            self._roots_before = 0
+        self._tracer = tracer
+        self._token = enter(scope._replace(observing=True, tracer=tracer))
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, error, traceback) -> None:
+        elapsed_ms = (time.perf_counter() - self._start) * 1000.0
+        restore(self._token)
+        if error is not None:
+            self.error = f"{type(error).__name__}: {error}"
+            self.exhausted = False
+            reason = getattr(error, "reason", None)
+            if isinstance(reason, str):
+                self.truncation_reason = reason
+            partial = getattr(error, "partial", None)
+            if partial is not None:
+                self.record_result(partial)
+                self.exhausted = False
+        roots = self._tracer.roots[self._roots_before:]
+        self._tracer = None
+        self._log._consider(self, elapsed_ms, roots)
 
     def set(self, **attrs: object) -> "Observation":
         self.attrs.update(attrs)
@@ -211,12 +280,16 @@ class Observation:
         return self
 
     def record_result(self, result: object) -> None:
-        """Copy budget outcome and stats from a completion result."""
+        """Take budget outcome and stats from a completion result.
+
+        The stats object is kept as is; a retained entry converts it
+        when read.
+        """
         self.exhausted = bool(getattr(result, "exhausted", True))
         self.truncation_reason = getattr(result, "truncation_reason", None)
         stats = getattr(result, "stats", None)
         if stats is not None and hasattr(stats, "as_dict"):
-            self.stats = stats.as_dict()
+            self.stats = stats
         paths = getattr(result, "paths", None)
         if paths is not None:
             self.attrs.setdefault("paths", len(paths))
@@ -236,12 +309,14 @@ class _NullObservation:
     def record_result(self, result: object) -> None:
         pass
 
+    def __enter__(self) -> "_NullObservation":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
 
 _NULL_OBSERVATION = _NullObservation()
-
-#: Reentrancy guard: true while some observation is already open in
-#: this context, so nested entry points skip (outermost wins).
-_OBSERVING: ContextVar[bool] = ContextVar("repro_slowlog_observing", default=False)
 
 
 class SlowQueryLog:
@@ -291,7 +366,6 @@ class SlowQueryLog:
 
     # -- the entry-point hook -----------------------------------------
 
-    @contextlib.contextmanager
     def observe(
         self,
         kind: str,
@@ -299,65 +373,25 @@ class SlowQueryLog:
         e: int | None = None,
         pruning: str = "closure",
         **attrs: object,
-    ) -> Iterator[Observation | _NullObservation]:
-        """Time the with-block as one query and consider it for retention.
+    ) -> Observation | _NullObservation:
+        """Time a with-block as one query and consider it for retention.
 
+        ``with log.observe(...) as obs:`` — see :class:`Observation`.
         ``pruning`` defaults to the default mode, so every retained
         entry says whether the closure cuts were on — callers that
         know better (the engine knows its own ``pruning``) pass the
-        exact value.
-
-        Installs a private :class:`RecordingTracer` when no real tracer
-        is ambient, so the retained entry always carries a span tree.
-        Nested ``observe`` calls (an engine ``complete`` inside a
-        session ``ask``) yield a no-op observation: the outermost entry
-        point owns the query.
+        exact value.  Inside an open observation (an engine
+        ``complete`` inside a session ``ask``) this returns a no-op
+        observation: the outermost entry point owns the query.
         """
-        if _OBSERVING.get():
-            yield _NULL_OBSERVATION
-            return
-        token = _OBSERVING.set(True)
-        observation = Observation(kind, query, e, dict(attrs), pruning)
-        tracer = get_tracer()
-        private: RecordingTracer | None = None
-        roots_before = 0
-        if tracer.enabled:
-            roots_before = len(tracer.roots)  # type: ignore[union-attr]
-        else:
-            private = RecordingTracer()
-        start = time.perf_counter()
-        try:
-            if private is not None:
-                with use_tracer(private):
-                    yield observation
-            else:
-                yield observation
-        except BaseException as error:
-            observation.error = f"{type(error).__name__}: {error}"
-            observation.exhausted = False
-            reason = getattr(error, "reason", None)
-            if isinstance(reason, str):
-                observation.truncation_reason = reason
-            partial = getattr(error, "partial", None)
-            if partial is not None:
-                observation.record_result(partial)
-                observation.exhausted = False
-            raise
-        finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            source = private if private is not None else tracer
-            roots = list(source.roots[roots_before:])  # type: ignore[union-attr]
-            self._consider(observation, elapsed_ms, source, roots)
-            _OBSERVING.reset(token)
+        if current().observing:
+            return _NULL_OBSERVATION
+        return Observation(self, kind, query, e, attrs, pruning)
 
     # -- retention ----------------------------------------------------
 
     def _consider(
-        self,
-        observation: Observation,
-        elapsed_ms: float,
-        tracer: RecordingTracer,
-        roots: list,
+        self, observation: Observation, elapsed_ms: float, roots: list
     ) -> None:
         with self._lock:
             self._observed += 1
@@ -376,7 +410,7 @@ class SlowQueryLog:
                 len(self._heap) < self.top_k or elapsed_ms > self._heap[0][0]
             )
             if not over_threshold and not in_top_k and promoted is None:
-                return  # drop: trace garbage-collects with the tracer
+                return  # drop: the trace is freed with the observation
             if over_threshold:
                 retained = RETAINED_THRESHOLD
             elif promoted is not None:
@@ -396,7 +430,7 @@ class SlowQueryLog:
                 retained=retained,
                 stats=observation.stats,
                 attrs=_jsonable_attrs(observation.attrs),
-                spans=tracer.to_events(roots),
+                roots=roots,
             )
             if over_threshold or (promoted is not None and not in_top_k):
                 # Promotions share the threshold ring so `capacity`
@@ -503,7 +537,6 @@ class NullSlowQueryLog:
     top_k = 0
     observed = 0
 
-    @contextlib.contextmanager
     def observe(
         self,
         kind: str,
@@ -511,8 +544,8 @@ class NullSlowQueryLog:
         e: int | None = None,
         pruning: str = "closure",
         **attrs: object,
-    ) -> Iterator[_NullObservation]:
-        yield _NULL_OBSERVATION
+    ) -> _NullObservation:
+        return _NULL_OBSERVATION
 
     def entries(self) -> list:
         return []
@@ -529,14 +562,11 @@ class NullSlowQueryLog:
 
 _NULL_SLOWLOG = NullSlowQueryLog()
 
-_ACTIVE: ContextVar[SlowQueryLog | NullSlowQueryLog] = ContextVar(
-    "repro_slowlog", default=_NULL_SLOWLOG
-)
-
 
 def get_slowlog() -> SlowQueryLog | NullSlowQueryLog:
     """The slow-query log instrumented entry points should consult."""
-    return _ACTIVE.get()
+    log = current().slowlog
+    return _NULL_SLOWLOG if log is None else log
 
 
 def observing() -> bool:
@@ -546,14 +576,9 @@ def observing() -> bool:
     observation, so a hot entry point can check this and skip opening
     one at all.
     """
-    return _OBSERVING.get()
+    return current().observing
 
 
-@contextlib.contextmanager
-def use_slowlog(log: SlowQueryLog | NullSlowQueryLog):
+def use_slowlog(log: SlowQueryLog | NullSlowQueryLog) -> scoped:
     """Install ``log`` as the ambient slow-query log for the with-block."""
-    token = _ACTIVE.set(log)
-    try:
-        yield log
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(log, slowlog=log)

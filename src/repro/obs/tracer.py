@@ -21,10 +21,15 @@ Two tracers implement the same duck-typed interface:
   and aggregates a per-span-name summary
   (:meth:`RecordingTracer.summary`).
 
-The active tracer lives in a :class:`contextvars.ContextVar`, so
-``with use_tracer(RecordingTracer()):`` scopes tracing to one CLI
+The active tracer is a field of the ambient :class:`repro.scope.Scope`,
+so ``with use_tracer(RecordingTracer()):`` scopes tracing to one CLI
 command, session, or test without any global mutable state leaking
 between threads or asyncio tasks.
+
+A closed span forgets its tracer, so a kept span tree holds no
+reference back to the tracer that holds it: once the last owner of a
+tree lets go (the slow-query log evicting an entry), reference counting
+frees it without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -33,14 +38,16 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import IO, Iterator
+
+from repro.scope import current, scoped
 
 __all__ = [
     "NullTracer",
     "RecordingTracer",
     "Span",
     "get_tracer",
+    "span_events",
     "use_tracer",
 ]
 
@@ -111,6 +118,9 @@ class Span:
     def __exit__(self, *exc_info: object) -> None:
         self.end = time.perf_counter()
         self._tracer._pop(self)
+        # The tracer keeps the closed span (as a root or a child); a
+        # span keeping the tracer too would make every tree a cycle.
+        self._tracer = None
 
     def __repr__(self) -> str:
         return (
@@ -198,14 +208,17 @@ class RecordingTracer:
                 stack.remove(span)
 
     def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        try:
+            self._local.stack.append(span)
+        except AttributeError:
+            self._local.stack = [span]
 
     def _pop(self, span: Span) -> None:
         stack = self._stack()
@@ -289,48 +302,11 @@ class RecordingTracer:
     def to_events(self, roots: list[Span] | None = None) -> list[dict]:
         """The JSON-lines event log as a list of plain dicts.
 
-        One ``span`` record per span (pre-order, so parents precede
-        children) and one ``event`` record per point event, all with
-        millisecond offsets relative to their root span's start.
-        ``roots`` restricts the export to a subset of recorded trees
-        (the slow-query log exports one query's trees this way); by
-        default every recorded root is exported.
+        ``roots`` restricts the export to a subset of recorded trees;
+        by default every recorded root is exported (see
+        :func:`span_events`).
         """
-        records: list[dict] = []
-        next_id = 0
-        for root in self.roots if roots is None else roots:
-            epoch = root.start
-            ids: dict[int, int] = {}
-            parents: dict[int, int | None] = {id(root): None}
-            for span, depth in root.walk():
-                span_id = next_id
-                next_id += 1
-                ids[id(span)] = span_id
-                for child in span.children:
-                    parents[id(child)] = span_id
-                records.append(
-                    {
-                        "type": "span",
-                        "id": span_id,
-                        "parent": parents.get(id(span)),
-                        "name": span.name,
-                        "depth": depth,
-                        "start_ms": (span.start - epoch) * 1000,
-                        "duration_ms": span.duration * 1000,
-                        "attrs": _jsonable(span.attrs),
-                    }
-                )
-                for at, name, attrs in span.events:
-                    records.append(
-                        {
-                            "type": "event",
-                            "span": span_id,
-                            "name": name,
-                            "at_ms": (at - epoch) * 1000,
-                            "attrs": _jsonable(attrs),
-                        }
-                    )
-        return records
+        return span_events(self.roots if roots is None else roots)
 
     def write_jsonl(self, target: str | IO[str]) -> int:
         """Write the event log as JSON lines; returns the record count."""
@@ -349,6 +325,49 @@ class RecordingTracer:
         return f"RecordingTracer(roots={len(self.roots)}, spans={self.span_count})"
 
 
+def span_events(roots: list[Span]) -> list[dict]:
+    """The JSON-lines event log of the span trees under ``roots``.
+
+    One ``span`` record per span (pre-order, so parents precede
+    children) and one ``event`` record per point event, all with
+    millisecond offsets relative to their root span's start.  Span ids
+    number the records of all ``roots`` together from 0.
+    """
+    records: list[dict] = []
+    next_id = 0
+    for root in roots:
+        epoch = root.start
+        parents: dict[int, int | None] = {id(root): None}
+        for span, depth in root.walk():
+            span_id = next_id
+            next_id += 1
+            for child in span.children:
+                parents[id(child)] = span_id
+            records.append(
+                {
+                    "type": "span",
+                    "id": span_id,
+                    "parent": parents.get(id(span)),
+                    "name": span.name,
+                    "depth": depth,
+                    "start_ms": (span.start - epoch) * 1000,
+                    "duration_ms": span.duration * 1000,
+                    "attrs": _jsonable(span.attrs),
+                }
+            )
+            for at, name, attrs in span.events:
+                records.append(
+                    {
+                        "type": "event",
+                        "span": span_id,
+                        "name": name,
+                        "at_ms": (at - epoch) * 1000,
+                        "attrs": _jsonable(attrs),
+                    }
+                )
+    return records
+
+
 def _jsonable(attrs: dict) -> dict:
     """Attributes coerced to JSON-safe scalars (repr fallback)."""
     safe: dict = {}
@@ -364,21 +383,13 @@ def _jsonable(attrs: dict) -> dict:
 # The ambient tracer
 # ----------------------------------------------------------------------
 
-_ACTIVE: ContextVar[NullTracer | RecordingTracer] = ContextVar(
-    "repro_tracer", default=_NULL_TRACER
-)
-
 
 def get_tracer() -> NullTracer | RecordingTracer:
     """The tracer instrumented code should emit spans to."""
-    return _ACTIVE.get()
+    tracer = current().tracer
+    return _NULL_TRACER if tracer is None else tracer
 
 
-@contextmanager
-def use_tracer(tracer: NullTracer | RecordingTracer):
+def use_tracer(tracer: NullTracer | RecordingTracer) -> scoped:
     """Install ``tracer`` as the ambient tracer for the with-block."""
-    token = _ACTIVE.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(tracer, tracer=tracer)

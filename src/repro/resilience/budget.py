@@ -22,11 +22,10 @@ This module provides that governor:
   the next read will still land comfortably inside the deadline, then
   shrinks again as the deadline approaches (a fixed every-64 stride
   could overshoot a 10 ms deadline by whole milliseconds).
-* :func:`get_budget` / :func:`use_budget` — an ambient
-  :class:`contextvars.ContextVar` in the style of
-  :mod:`repro.obs.tracer`, so a CLI flag or a session command can govern
-  every completion in a dynamic scope without threading a parameter
-  through each layer.
+* :func:`get_budget` / :func:`use_budget` — a field of the ambient
+  :class:`repro.scope.Scope`, beside the tracer, so a CLI flag or a
+  session command can govern every completion in a dynamic scope
+  without threading a parameter through each layer.
 
 Anytime semantics rest on a property of the paper's path algebra
 (Carré-style label iteration): every complete path recorded before the
@@ -46,8 +45,8 @@ import dataclasses
 import threading
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
-from contextvars import ContextVar
+
+from repro.scope import current, scoped
 
 __all__ = [
     "Budget",
@@ -367,23 +366,15 @@ class BudgetMeter:
 # The ambient budget
 # ----------------------------------------------------------------------
 
-_ACTIVE: ContextVar[Budget | None] = ContextVar("repro_budget", default=None)
-
-
 def get_budget() -> Budget | None:
     """The budget governing completions in the current dynamic scope."""
-    return _ACTIVE.get()
+    return current().budget
 
 
-@contextmanager
-def use_budget(budget: Budget | None):
+def use_budget(budget: Budget | None) -> scoped:
     """Install ``budget`` as the ambient budget for the with-block.
 
     ``None`` explicitly clears any outer governor (used by code that
     must run to exhaustion, e.g. cache-warming benchmarks).
     """
-    token = _ACTIVE.set(budget)
-    try:
-        yield budget
-    finally:
-        _ACTIVE.reset(token)
+    return scoped(budget, budget=budget)

@@ -20,14 +20,11 @@ Start it from the command line (``repro serve`` or
     ...
     tier.stop()          # graceful drain
 
-:class:`~repro.obs.serve.MetricsServer` (the standalone Prometheus
-scrape endpoint) is re-exported here: the serving tier absorbs its
-``/metrics`` and ``/healthz`` endpoints, and embedders that only need
-a scrape port can keep using the standalone server directly.
+The tier is also the Prometheus scrape endpoint: ``GET /metrics`` and
+``GET /healthz`` (see :func:`health_snapshot`).
 """
 
-from repro.obs.serve import MetricsServer
-from repro.serve.app import ServingTier
+from repro.serve.app import ServingTier, health_snapshot
 from repro.serve.client import (
     ServeClient,
     ServerResponse,
@@ -42,7 +39,6 @@ from repro.serve.tenants import (
 )
 
 __all__ = [
-    "MetricsServer",
     "ServeClient",
     "ServeConfig",
     "ServerResponse",
@@ -51,5 +47,6 @@ __all__ = [
     "TenantRegistry",
     "TransientServerError",
     "UnknownTenantError",
+    "health_snapshot",
     "prewarm_tenant",
 ]

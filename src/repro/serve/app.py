@@ -59,9 +59,9 @@ instead of collapsing it*:
   meters between clock samples.
 
 Endpoints: ``POST /v1/complete``, ``POST /v1/query``,
-``GET /v1/schemas``, ``GET /v1/debug``, plus the scrape pair absorbed
-from :mod:`repro.obs.serve` — ``GET /metrics`` (Prometheus text, with
-per-route/status labels) and ``GET /healthz``.
+``GET /v1/schemas``, ``GET /v1/debug``, plus the scrape pair
+``GET /metrics`` (Prometheus text, with per-route/status labels) and
+``GET /healthz``.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
+from repro.core.compiled import registered_artifacts
 from repro.core.engine import PendingCompletion
 from repro.errors import (
     BudgetExceededError,
@@ -95,16 +96,14 @@ from repro.obs.reqlog import (
     HeadSampler,
     RequestContext,
     clean_request_id,
-    get_request,
     mint_request_id,
-    use_request,
 )
-from repro.obs.serve import health_snapshot
 from repro.obs.slo import SLOMonitor
-from repro.obs.slowlog import RETAINED_SAMPLED, SlowQueryLog, use_slowlog
-from repro.obs.tracer import RecordingTracer, get_tracer, use_tracer
+from repro.obs.slowlog import RETAINED_SAMPLED, SlowQueryLog
+from repro.obs.tracer import RecordingTracer, get_tracer
 from repro.query.language import run_query
-from repro.resilience.budget import CancelSignal, use_budget
+from repro.resilience.budget import CancelSignal
+from repro.scope import current, scoped
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HttpError,
@@ -115,7 +114,7 @@ from repro.serve.http import (
 )
 from repro.serve.tenants import TenantRegistry, UnknownTenantError
 
-__all__ = ["ServingTier"]
+__all__ = ["ServingTier", "health_snapshot"]
 
 #: Content type of the Prometheus text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -144,6 +143,40 @@ UNMATCHED_ROUTE = "unmatched"
 #: time.  A constant offset would shift ``started_at`` and the deadline
 #: together and never trip late-armed meters.
 _DRAIN_CLOCK_RATE = 1e6
+
+
+def health_snapshot() -> dict:
+    """The ``/healthz`` payload's liveness and registry occupancy.
+
+    Reads the process-wide compiled-artifact registry and reports, per
+    artifact, the fingerprint prefix, how many evolution steps produced
+    it, and its completion cache's counters, so a healthy-but-bloated
+    process (runaway schema evolution, a cache that never hits) is
+    visible from one request.
+    """
+    artifacts = []
+    for compiled in registered_artifacts():
+        artifacts.append(
+            {
+                "fingerprint": compiled.fingerprint[:12],
+                "lineage_depth": len(compiled.lineage),
+                "completion_cache": compiled.cache.info(),
+            }
+        )
+    artifacts.sort(key=lambda entry: entry["fingerprint"])
+    return {
+        "status": "ok",
+        "registry": {
+            "artifacts": len(artifacts),
+            "max_lineage_depth": max(
+                (entry["lineage_depth"] for entry in artifacts), default=0
+            ),
+            "cached_completions": sum(
+                entry["completion_cache"]["size"] for entry in artifacts
+            ),
+            "entries": artifacts,
+        },
+    }
 
 
 class ServingTier:
@@ -420,11 +453,11 @@ class ServingTier:
     ) -> None:
         while True:
             try:
-                request = await asyncio.wait_for(
-                    read_request(reader, self.config.max_body_bytes),
-                    timeout=self.config.request_timeout_s,
-                )
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.config.request_timeout_s):
+                    request = await read_request(
+                        reader, self.config.max_body_bytes
+                    )
+            except TimeoutError:
                 await self._write(
                     writer,
                     self._json_bytes(
@@ -476,10 +509,11 @@ class ServingTier:
 
         The request's identity is resolved here — an inbound
         ``X-Request-Id`` honoured after sanitation, a fresh ID minted
-        otherwise — installed as the ambient :class:`RequestContext`
-        (the executor's context copy carries it to a miss's search),
-        stamped into the response header, and recorded with the
-        outcome in the access log and SLO windows.
+        otherwise — handed to the route as a :class:`RequestContext`
+        (an admitted request's scope installs it ambiently, and the
+        executor's context copy carries it to a miss's search), stamped
+        into the response header, and recorded with the outcome in the
+        access log and SLO windows.
         """
         started = time.monotonic()
         content_type = "application/json"
@@ -494,37 +528,37 @@ class ServingTier:
             and request.path in ("/v1/complete", "/v1/query")
             and self.sampler.sample()
         )
-        with use_request(RequestContext(request_id, sampled=sampled)):
-            try:
-                outcome = await self._route(request)
-                status, payload, content_type, extra = outcome
-                if isinstance(payload, bytes):
-                    body = payload
-            except HttpError as error:
-                status, payload = error.status, {"error": error.message}
-            except UnknownTenantError as error:
-                status, payload = 404, {"error": str(error)}
-            except BudgetExceededError as error:
-                # partial_ok is always set, so this is belt and braces
-                # for a future engine path that refuses partial answers.
-                status = 206
-                payload = {
-                    "error": str(error),
-                    "truncation_reason": "deadline",
-                }
-            except InjectedFaultError as error:
-                status = 503
-                payload = {"error": str(error), "transient": True}
-                extra = {"Retry-After": str(self.config.retry_after_s)}
-            except (ReproError, ValueError) as error:
-                status = 400
-                payload = {"error": str(error), "kind": type(error).__name__}
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # noqa: BLE001 - last-resort mapping
-                status = 500
-                payload = {"error": f"internal error: {type(error).__name__}"}
-                self.metrics.counter("serve.internal_errors").inc()
+        context = RequestContext(request_id, sampled=sampled)
+        try:
+            outcome = await self._route(request, context)
+            status, payload, content_type, extra = outcome
+            if isinstance(payload, bytes):
+                body = payload
+        except HttpError as error:
+            status, payload = error.status, {"error": error.message}
+        except UnknownTenantError as error:
+            status, payload = 404, {"error": str(error)}
+        except BudgetExceededError as error:
+            # partial_ok is always set, so this is belt and braces
+            # for a future engine path that refuses partial answers.
+            status = 206
+            payload = {
+                "error": str(error),
+                "truncation_reason": "deadline",
+            }
+        except InjectedFaultError as error:
+            status = 503
+            payload = {"error": str(error), "transient": True}
+            extra = {"Retry-After": str(self.config.retry_after_s)}
+        except (ReproError, ValueError) as error:
+            status = 400
+            payload = {"error": str(error), "kind": type(error).__name__}
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:  # noqa: BLE001 - last-resort mapping
+            status = 500
+            payload = {"error": f"internal error: {type(error).__name__}"}
+            self.metrics.counter("serve.internal_errors").inc()
         if body is None:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode(
                 "utf-8"
@@ -617,7 +651,7 @@ class ServingTier:
         return "ok", None
 
     async def _route(
-        self, request: Request
+        self, request: Request, context: RequestContext
     ) -> tuple[int, dict | bytes, str, dict[str, str] | None]:
         path = request.path
         method = ROUTES.get(path)
@@ -641,7 +675,7 @@ class ServingTier:
             }
             return 200, payload, "application/json", None
         handler = self._complete if path == "/v1/complete" else self._query
-        status, payload, extra = await self._admit(request, handler)
+        status, payload, extra = await self._admit(request, context, handler)
         return status, payload, "application/json", extra
 
     def _health_payload(self) -> dict:
@@ -711,9 +745,9 @@ class ServingTier:
     # -- admission and execution --------------------------------------
 
     async def _admit(
-        self, request: Request, handler
+        self, request: Request, context: RequestContext, handler
     ) -> tuple[int, dict, dict[str, str] | None]:
-        """Load-shed, or answer with ``await handler(request)``.
+        """Load-shed, or answer with ``await handler(request, context)``.
 
         The drain and shed checks come first for every POST.  The
         handler runs on the event loop; only its :meth:`_offload` call
@@ -739,7 +773,7 @@ class ServingTier:
                 },
                 {"Retry-After": str(self.config.retry_after_s)},
             )
-        status, payload = await handler(request)
+        status, payload = await handler(request, context)
         return status, payload, None
 
     async def _offload(self, call, *args):
@@ -800,35 +834,41 @@ class ServingTier:
                 self.tenants.enforce_memory_bound()
 
     @contextlib.contextmanager
-    def _request_scope(self, kind: str, query: str, **attrs):
+    def _request_scope(
+        self, context: RequestContext, budget, kind: str, query: str, **attrs
+    ):
         """The ambient scope of one admitted request, on the event loop.
 
-        Installs the tier's metrics registry and slow log, a fresh
-        :class:`RecordingTracer` when the head sampler picked this
-        request, and opens the slow-log observation (stamped with the
-        ambient request ID) plus the ``request`` root span every
-        retained trace hangs from; yields that span, which work
-        offloaded to the pool adopts.  Sampled observations are
-        promoted so the slow log keeps them even when fast and healthy.
+        Installs, in one :class:`~repro.scope.Scope`, the request's
+        context and budget, the tier's metrics registry and slow log,
+        and a fresh :class:`RecordingTracer` when the head sampler
+        picked this request.  Then opens the slow-log observation
+        (stamped with the request ID) and the ``request`` root span
+        every retained trace hangs from, and yields both; work
+        offloaded to the pool adopts the span.  Sampled observations
+        are promoted so the slow log keeps them even when fast and
+        healthy.
         """
-        context = get_request()
-        request_id = context.request_id if context is not None else None
-        sampled = context.sampled if context is not None else False
-        if request_id is not None:
-            attrs["request_id"] = request_id
-        tracing = (
-            use_tracer(RecordingTracer()) if sampled else contextlib.nullcontext()
-        )
-        with use_metrics(self.metrics), use_slowlog(self.slowlog), tracing:
+        attrs["request_id"] = context.request_id
+        with scoped(
+            None,
+            tracer=RecordingTracer() if context.sampled else current().tracer,
+            metrics=self.metrics,
+            slowlog=self.slowlog,
+            budget=budget,
+            request=context,
+        ):
             with self.slowlog.observe(kind, query, **attrs) as obs:
-                if sampled:
+                if context.sampled:
                     obs.promote(RETAINED_SAMPLED)
                 with get_tracer().span(
-                    "request", kind=kind, request_id=request_id or ""
+                    "request", kind=kind, request_id=context.request_id
                 ) as span:
                     yield obs, span
 
-    async def _complete(self, request: Request) -> tuple[int, dict]:
+    async def _complete(
+        self, request: Request, context: RequestContext
+    ) -> tuple[int, dict]:
         payload = json_body(request)
         expression = payload.get("expression")
         if not isinstance(expression, str) or not expression.strip():
@@ -842,9 +882,9 @@ class ServingTier:
         misses_before = cache.misses
         engine = tenant.engine(e)
         scope = self._request_scope(
-            "serve.complete", expression, e=e, tenant=tenant.name
+            context, budget, "serve.complete", expression, e=e, tenant=tenant.name
         )
-        with scope as (obs, _), use_budget(budget):
+        with scope as (obs, _):
             result = engine.lookup(expression)
             hit = not isinstance(result, PendingCompletion)
             if not hit:
@@ -876,7 +916,9 @@ class ServingTier:
             body["truncation_reason"] = result.truncation_reason
         return (200 if result.exhausted else 206), body
 
-    async def _query(self, request: Request) -> tuple[int, dict]:
+    async def _query(
+        self, request: Request, context: RequestContext
+    ) -> tuple[int, dict]:
         payload = json_body(request)
         text = payload.get("query")
         if not isinstance(text, str) or not text.strip():
@@ -898,8 +940,10 @@ class ServingTier:
 
         cache = tenant.compiled.cache
         misses_before = cache.misses
-        scope = self._request_scope("serve.query", text, tenant=tenant.name)
-        with scope as (_, span), use_budget(budget):
+        scope = self._request_scope(
+            context, budget, "serve.query", text, tenant=tenant.name
+        )
+        with scope as (_, span):
             result = await self._offload(run, span)
         self._govern(tenant, cache, misses_before)
         return 200, {

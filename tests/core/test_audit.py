@@ -4,7 +4,7 @@ Covers the PR's acceptance criteria: a disabled audit leaves results
 byte-identical with bounded (<5%) overhead, the JSONL export round-trips
 through the schema validator and reconstructs the exact walk order, every
 ranked completion's score decomposition re-sums to its semantic length,
-cache records carry lineage provenance, and the reference-vs-closure
+cache records carry lineage provenance, and the none-vs-closure
 diff over the Section 5 workload explains every divergence with an
 admissible cut.
 """
@@ -284,7 +284,7 @@ class TestCrossModeDiff:
     def test_deep_query_diff_stays_explained(self, cupid, e):
         diff = diff_modes(cupid, CUPID_QUERY, e=e)
         assert diff.ok, diff.render()
-        assert diff.closure_expansions <= diff.reference_expansions
+        assert diff.closure_expansions <= diff.none_expansions
 
     def test_university_diff(self, university):
         diff = diff_modes(university, "ta ~ name", e=1)

@@ -392,6 +392,36 @@ class TestDerivedEdgeCount:
         assert audited.stats.edges_considered == cuts + expands - 1
         assert _stats(run()) == _stats(audited)
 
+    @pytest.mark.parametrize("max_nodes", [40, None])
+    def test_uncut_stream_agrees_with_the_count_on_a_trip(self, max_nodes):
+        """Under ``pruning="none"`` a node's dead ends are recorded at
+        its entry; a budget trip takes back those the paper's loop had
+        not reached, so the stream still adds up to the count."""
+        searcher = CompiledSchema(build_cupid_schema()).searcher(
+            e=2, pruning="none"
+        )
+        budget = (
+            Budget(max_nodes=max_nodes, partial_ok=True)
+            if max_nodes is not None
+            else None
+        )
+        log = SearchAuditLog()
+        with use_audit(log):
+            result = searcher.run(
+                "experiment", RelationshipTarget("conductance"), budget=budget
+            )
+        assert result.exhausted is (max_nodes is None)
+        cuts = sum(
+            1
+            for record in log.of_kind("cut")
+            if record["rule"] in PER_EDGE_CUTS + ("dead_end",)
+        )
+        expands = len(log.of_kind("expand"))
+        assert result.stats.edges_considered == cuts + expands - 1
+        assert [record["seq"] for record in log.records] == list(
+            range(len(log.records))
+        )
+
 
 @pytest.fixture(scope="session")
 def oracle_texts():

@@ -1,4 +1,5 @@
-"""Tests for the Prometheus exposition renderer and scrape server."""
+"""Tests for the Prometheus exposition renderer and the tier's scrape
+endpoints."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from repro.obs.promtext import (
     render_prometheus,
     write_prometheus,
 )
-from repro.obs.serve import MetricsServer
+from tests.serve.conftest import make_tier
 
 
 def _parse_exposition(text: str):
@@ -131,16 +132,28 @@ class TestRenderRoundTrip:
 
 
 class TestMetricsServer:
+    """The serving tier is the metrics server: ``/metrics`` and
+    ``/healthz``."""
+
     def test_scrape_matches_direct_render(self):
         registry = _populated_registry()
-        with MetricsServer(registry, port=0) as server:
-            with urllib.request.urlopen(server.url, timeout=10) as response:
+        expected = render_prometheus(registry)
+        tier = make_tier({}, metrics=registry)
+        try:
+            with urllib.request.urlopen(
+                tier.url + "/metrics", timeout=10
+            ) as response:
                 assert response.status == 200
                 assert response.headers["Content-Type"].startswith(
                     "text/plain; version=0.0.4"
                 )
                 body = response.read().decode("utf-8")
-        assert body == render_prometheus(registry)
+        finally:
+            tier.stop(drain=False)
+        # The tier adds its own gauges before rendering; every line of
+        # the registry's own rendering is served unchanged.
+        served = set(body.splitlines())
+        assert [line for line in expected.splitlines() if line not in served] == []
 
     def test_healthz_and_404(self):
         registry = MetricsRegistry()
@@ -149,10 +162,10 @@ class TestMetricsServer:
         invalidate()
         compiled = compile_schema(build_university_schema())
         compiled.complete_simple("ta", "name")
-        with MetricsServer(registry, port=0) as server:
-            host, port = server.address
+        tier = make_tier({}, metrics=registry)
+        try:
             with urllib.request.urlopen(
-                f"http://{host}:{port}/healthz", timeout=10
+                tier.url + "/healthz", timeout=10
             ) as response:
                 assert response.headers["Content-Type"] == "application/json"
                 payload = json.loads(response.read())
@@ -171,21 +184,24 @@ class TestMetricsServer:
             assert registry_info["cached_completions"] >= 1
             assert registry_info["max_lineage_depth"] >= 0
             try:
-                urllib.request.urlopen(
-                    f"http://{host}:{port}/nope", timeout=10
-                )
+                urllib.request.urlopen(tier.url + "/nope", timeout=10)
                 raise AssertionError("expected HTTP 404")
             except urllib.error.HTTPError as error:
                 assert error.code == 404
+        finally:
+            tier.stop(drain=False)
 
     def test_scrape_sees_live_updates(self):
         registry = MetricsRegistry()
-        with MetricsServer(registry, port=0) as server:
+        tier = make_tier({}, metrics=registry)
+        try:
             registry.counter("ticks").inc()
-            with urllib.request.urlopen(server.url, timeout=10) as response:
+            with urllib.request.urlopen(tier.url + "/metrics", timeout=10) as response:
                 first = response.read().decode()
             registry.counter("ticks").inc(4)
-            with urllib.request.urlopen(server.url, timeout=10) as response:
+            with urllib.request.urlopen(tier.url + "/metrics", timeout=10) as response:
                 second = response.read().decode()
+        finally:
+            tier.stop(drain=False)
         assert "repro_ticks_total 1" in first
         assert "repro_ticks_total 5" in second

@@ -65,7 +65,10 @@ def make_tier(schemas: dict, config: ServeConfig | None = None, **kwargs):
             database=databases.get(name),
         )
     tier = ServingTier(
-        registry, config=config if config is not None else ServeConfig()
+        registry,
+        config=config if config is not None else ServeConfig(),
+        metrics=kwargs.pop("metrics", None),
+        slowlog=kwargs.pop("slowlog", None),
     )
     return tier.run_in_thread()
 
