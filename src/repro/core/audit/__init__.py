@@ -129,7 +129,13 @@ class NullAuditLog:
 
 
 class SearchAuditLog:
-    """An in-memory, append-only log of search decision records.
+    """An in-memory log of search decision records.
+
+    Records are appended, with one exception: when a search under
+    ``pruning="none"`` trips its budget, it retracts (:meth:`retract`)
+    the ``dead_end`` records of the nodes the paper's loop never
+    reached, and the remaining records are numbered ``seq`` 0, 1, ...
+    again.
 
     Records are plain dicts (``seq`` + ``kind`` + per-kind attributes)
     so export is a straight ``json.dumps`` per line and reconstruction

@@ -10,10 +10,13 @@ Whitespace is permitted around connectors (the paper writes both
 ``ta~name`` and ``ta ~ name``).  Connector tokens are matched longest
 first so ``<@`` never parses as ``<`` + ``@``.
 
-A :class:`PathExpression` is frozen, so each distinct text is parsed
-once: :func:`parse_path_expression` keeps the last
-:data:`PARSE_MEMO_SIZE` texts it parsed.  A text that fails to parse is
-not kept, and raises again on every call.
+A :class:`PathExpression` is frozen, so each distinct short text is
+parsed once: :func:`parse_path_expression` keeps the last
+:data:`PARSE_MEMO_SIZE` texts of at most :data:`PARSE_MEMO_MAX_CHARS`
+characters it parsed, which bounds the memo at a few megabytes.  A
+longer text is parsed on every call and freed with its caller, so a
+client cannot pin memory with long expressions.  A text that fails to
+parse is not kept, and raises again on every call.
 """
 
 from __future__ import annotations
@@ -25,11 +28,19 @@ from repro.algebra.connectors import Connector
 from repro.core.ast import PathExpression, Step
 from repro.errors import PathSyntaxError
 
-__all__ = ["PARSE_MEMO_SIZE", "parse_path_expression", "tokenize"]
+__all__ = [
+    "PARSE_MEMO_MAX_CHARS",
+    "PARSE_MEMO_SIZE",
+    "parse_path_expression",
+    "tokenize",
+]
 
 #: How many distinct expression texts :func:`parse_path_expression`
 #: remembers (least recently used out first).
 PARSE_MEMO_SIZE = 1024
+#: The longest text the memo keeps.  A full memo of texts this long
+#: holds about 7 MB of parsed steps (one-letter names, CPython 3.11).
+PARSE_MEMO_MAX_CHARS = 128
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 
@@ -76,7 +87,6 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_path_expression(text: str) -> PathExpression:
     """Parse expression text into a :class:`PathExpression`.
 
@@ -87,6 +97,12 @@ def parse_path_expression(text: str) -> PathExpression:
     >>> parse_path_expression("student.take.teacher").is_complete
     True
     """
+    if len(text) <= PARSE_MEMO_MAX_CHARS:
+        return _parse_memo(text)
+    return _parse(text)
+
+
+def _parse(text: str) -> PathExpression:
     tokens = tokenize(text)
     if not tokens:
         raise PathSyntaxError("empty path expression", 0, text)
@@ -130,3 +146,6 @@ def parse_path_expression(text: str) -> PathExpression:
             steps.append(Step(_CONNECTOR_FOR_SYMBOL[symbol], name))
         index += 2
     return PathExpression(root, tuple(steps))
+
+
+_parse_memo = functools.lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse)

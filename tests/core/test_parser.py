@@ -1,9 +1,16 @@
 """Tests for the path-expression parser."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.algebra.connectors import Connector
-from repro.core.parser import parse_path_expression, tokenize
+from repro.core.parser import (
+    PARSE_MEMO_MAX_CHARS,
+    parse_path_expression,
+    tokenize,
+)
 from repro.errors import PathSyntaxError
 
 
@@ -106,3 +113,23 @@ class TestSyntaxErrors:
             parse_path_expression("a!b")
         assert excinfo.value.text == "a!b"
         assert excinfo.value.position == 1
+
+
+class TestParseMemo:
+    def test_a_short_text_is_parsed_once(self):
+        text = "ta ~ name"
+        assert parse_path_expression(text) is parse_path_expression(text)
+
+    def test_a_long_text_is_not_kept(self):
+        text = ".".join(["a"] * (PARSE_MEMO_MAX_CHARS // 2 + 1))
+        assert len(text) > PARSE_MEMO_MAX_CHARS
+        expression = parse_path_expression(text)
+        assert len(expression.steps) == PARSE_MEMO_MAX_CHARS // 2
+        assert parse_path_expression(text) is not expression
+        kept = weakref.ref(expression)
+        gc.disable()
+        try:
+            del expression
+            assert kept() is None
+        finally:
+            gc.enable()
